@@ -64,22 +64,24 @@ Result<uint8_t> ReadPrelude(ByteCursor* cursor, uint8_t expected_kind) {
 /// Upper bound on the encoded body size — an exact pre-pass over the
 /// string columns plus worst-case varint widths, so EncodeBody appends
 /// into pre-reserved storage and never reallocates mid-block.
-size_t BodySizeBound(const Schema& schema, const std::vector<Tuple>& rows) {
-  const size_t bitmap_bytes = (rows.size() + 7) / 8;
+size_t BodySizeBound(const Schema& schema, const RowView& rows) {
+  const size_t num_rows = rows.rows.size();
+  const size_t bitmap_bytes = (num_rows + 7) / 8;
   size_t bound = 10;  // column-count varint
   for (size_t col = 0; col < schema.num_columns(); ++col) {
     bound += 1 + bitmap_bytes;
     switch (schema.column(col).type) {
       case ColumnType::kInt64:
-        bound += 10 * rows.size();
+        bound += 10 * num_rows;
         break;
       case ColumnType::kDouble:
-        bound += 8 * rows.size();
+        bound += 8 * num_rows;
         break;
       case ColumnType::kString:
-        bound += 5 * rows.size();
-        for (const Tuple& row : rows) {
-          if (const std::string* v = std::get_if<std::string>(&row.value(col))) {
+        bound += 5 * num_rows;
+        for (const Tuple* row : rows.rows) {
+          if (const std::string* v =
+                  std::get_if<std::string>(&row->value(rows.columns[col]))) {
             bound += v->size();
           }
         }
@@ -89,51 +91,52 @@ size_t BodySizeBound(const Schema& schema, const std::vector<Tuple>& rows) {
   return bound;
 }
 
-Status EncodeBody(const Schema& schema, const std::vector<Tuple>& rows,
+Status MismatchedColumn(const Schema& schema, size_t col) {
+  return Status::InvalidArgument(
+      "binary codec: row value does not match schema column " +
+      schema.column(col).name);
+}
+
+Status EncodeBody(const Schema& schema, const RowView& rows,
                   std::string* body) {
   const size_t num_cols = schema.num_columns();
-  const size_t bitmap_bytes = (rows.size() + 7) / 8;
+  if (rows.columns.size() != num_cols) {
+    return Status::InvalidArgument(
+        "binary codec: row view has " + std::to_string(rows.columns.size()) +
+        " columns, schema has " + std::to_string(num_cols));
+  }
+  const size_t bitmap_bytes = (rows.rows.size() + 7) / 8;
   body->reserve(body->size() + BodySizeBound(schema, rows));
   PutUVarint(body, num_cols);
   for (size_t col = 0; col < num_cols; ++col) {
+    const size_t source = rows.columns[col];
     const ColumnType type = schema.column(col).type;
     body->push_back(static_cast<char>(type));
     body->append(bitmap_bytes, '\0');  // no nulls in the Value model
     switch (type) {
       case ColumnType::kInt64:
-        for (const Tuple& row : rows) {
-          const int64_t* v = std::get_if<int64_t>(&row.value(col));
-          if (v == nullptr) {
-            return Status::InvalidArgument(
-                "binary codec: row value does not match schema column " +
-                schema.column(col).name);
-          }
+        for (const Tuple* row : rows.rows) {
+          const int64_t* v = std::get_if<int64_t>(&row->value(source));
+          if (v == nullptr) return MismatchedColumn(schema, col);
           PutVarint(body, *v);
         }
         break;
       case ColumnType::kDouble:
-        for (const Tuple& row : rows) {
-          const double* v = std::get_if<double>(&row.value(col));
-          if (v == nullptr) {
-            return Status::InvalidArgument(
-                "binary codec: row value does not match schema column " +
-                schema.column(col).name);
-          }
+        for (const Tuple* row : rows.rows) {
+          const double* v = std::get_if<double>(&row->value(source));
+          if (v == nullptr) return MismatchedColumn(schema, col);
           PutDoubleBits(body, *v);
         }
         break;
       case ColumnType::kString:
-        for (const Tuple& row : rows) {
-          const std::string* v = std::get_if<std::string>(&row.value(col));
-          if (v == nullptr) {
-            return Status::InvalidArgument(
-                "binary codec: row value does not match schema column " +
-                schema.column(col).name);
-          }
+        for (const Tuple* row : rows.rows) {
+          const std::string* v =
+              std::get_if<std::string>(&row->value(source));
+          if (v == nullptr) return MismatchedColumn(schema, col);
           PutUVarint(body, v->size());
         }
-        for (const Tuple& row : rows) {
-          body->append(std::get<std::string>(row.value(col)));
+        for (const Tuple* row : rows.rows) {
+          body->append(std::get<std::string>(row->value(source)));
         }
         break;
     }
@@ -265,14 +268,14 @@ Result<RequestBlockRequest> BinaryCodec::DecodeRequestBlock(
   return request;
 }
 
-Result<std::string> BinaryCodec::EncodeBlockResponse(
+Result<std::string> BinaryCodec::EncodeBlockResponseView(
     int64_t session_id, bool end_of_results, const Schema& schema,
-    const std::vector<Tuple>& rows) const {
+    RowView rows) const {
   std::string out;
   PutPrelude(&out, kBinaryMsgBlockResponse, 0);
   PutVarint(&out, session_id);
   out.push_back(end_of_results ? 1 : 0);
-  PutUVarint(&out, rows.size());
+  PutUVarint(&out, rows.rows.size());
 
   // Encode the body in place — the uncompressed path is one buffer, no
   // copy. Compression (opt-in) re-packs from the encoded tail.

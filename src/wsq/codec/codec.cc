@@ -36,6 +36,26 @@ std::string CodecChoice::ToString() const {
   return std::string(CodecKindName(kind));
 }
 
+Result<std::string> BlockCodec::EncodeBlockResponse(
+    int64_t session_id, bool end_of_results, const Schema& schema,
+    const std::vector<Tuple>& rows) const {
+  const size_t arity = schema.num_columns();
+  std::vector<const Tuple*> pointers;
+  pointers.reserve(rows.size());
+  for (const Tuple& row : rows) {
+    if (row.num_values() != arity) {
+      return Status::InvalidArgument(
+          "tuple arity " + std::to_string(row.num_values()) +
+          " does not match schema arity " + std::to_string(arity));
+    }
+    pointers.push_back(&row);
+  }
+  std::vector<size_t> identity(arity);
+  for (size_t i = 0; i < arity; ++i) identity[i] = i;
+  return EncodeBlockResponseView(session_id, end_of_results, schema,
+                                 RowView{pointers, identity});
+}
+
 std::unique_ptr<BlockCodec> MakeBlockCodec(const CodecChoice& choice) {
   if (choice.kind == CodecKind::kBinary) {
     BinaryCodecOptions options;

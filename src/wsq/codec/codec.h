@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,6 +49,17 @@ struct DecodedBlock {
   WireRows rows;
 };
 
+/// A result block viewed in place, without copying any value: block
+/// row r, column c is `rows[r]->value(columns[c])`. This is what lets
+/// the server encode straight from the table a cursor scanned
+/// (QueryCursor::ScanBlock plus its projection()) instead of first
+/// projecting every row into a fresh Tuple. Every index in `columns`
+/// must be below every row's arity.
+struct RowView {
+  std::span<const Tuple* const> rows;
+  std::span<const size_t> columns;
+};
+
 /// The block data path's pluggable wire format. Only the per-block
 /// hot-path messages go through here (RequestBlock and its response);
 /// session control, ProcessBlock push traffic and every fault reply
@@ -64,9 +76,18 @@ class BlockCodec {
   virtual Result<RequestBlockRequest> DecodeRequestBlock(
       const std::string& payload) const = 0;
 
-  virtual Result<std::string> EncodeBlockResponse(
+  /// Encodes a block response whose rows are `rows` (one schema column
+  /// per view column). The one encoder each codec has.
+  virtual Result<std::string> EncodeBlockResponseView(
       int64_t session_id, bool end_of_results, const Schema& schema,
-      const std::vector<Tuple>& rows) const = 0;
+      RowView rows) const = 0;
+
+  /// Encodes already-materialized rows, each exactly of the schema's
+  /// arity: an adapter that views them and calls
+  /// EncodeBlockResponseView, so both forms produce the same bytes.
+  Result<std::string> EncodeBlockResponse(
+      int64_t session_id, bool end_of_results, const Schema& schema,
+      const std::vector<Tuple>& rows) const;
 
   /// Takes the payload by value: binary decoding adopts the buffer so
   /// WireRows views point straight into the received bytes.

@@ -20,17 +20,18 @@ Result<RequestBlockRequest> SoapCodec::DecodeRequestBlock(
   return wsq::DecodeRequestBlock(body.value());
 }
 
-Result<std::string> SoapCodec::EncodeBlockResponse(
+Result<std::string> SoapCodec::EncodeBlockResponseView(
     int64_t session_id, bool end_of_results, const Schema& schema,
-    const std::vector<Tuple>& rows) const {
+    RowView rows) const {
   TupleSerializer serializer(schema);
-  Result<std::string> text = serializer.SerializeBlock(rows);
-  if (!text.ok()) return text.status();
   BlockResponse response;
   response.session_id = session_id;
   response.end_of_results = end_of_results;
-  response.num_tuples = static_cast<int64_t>(rows.size());
-  response.payload = std::move(text).value();
+  response.num_tuples = static_cast<int64_t>(rows.rows.size());
+  for (const Tuple* row : rows.rows) {
+    WSQ_RETURN_IF_ERROR(
+        serializer.AppendRow(*row, rows.columns, &response.payload));
+  }
   return wsq::EncodeBlockResponse(response);
 }
 

@@ -23,9 +23,9 @@ class SoapCodec : public BlockCodec {
   Result<RequestBlockRequest> DecodeRequestBlock(
       const std::string& payload) const override;
 
-  Result<std::string> EncodeBlockResponse(
+  Result<std::string> EncodeBlockResponseView(
       int64_t session_id, bool end_of_results, const Schema& schema,
-      const std::vector<Tuple>& rows) const override;
+      RowView rows) const override;
   Result<DecodedBlock> DecodeBlockResponse(std::string payload) const override;
 };
 

@@ -1,6 +1,11 @@
 #include "wsq/net/crc32c.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace wsq::net {
 
@@ -8,8 +13,7 @@ namespace {
 
 /// 8 slice-by-8 tables, built once at first use. Slicing-by-8 processes
 /// 8 input bytes per iteration with table lookups only — no hardware
-/// CRC instruction dependency, portable across every CI target, and
-/// fast enough (~1 GB/s) that framing stays wire-bound.
+/// CRC instruction dependency, so it runs on every CI target (~1 GB/s).
 struct Crc32cTables {
   std::array<std::array<uint32_t, 256>, 8> t;
 
@@ -37,9 +41,52 @@ const Crc32cTables& Tables() {
   return tables;
 }
 
+using Crc32cFn = uint32_t (*)(uint32_t, const void*, size_t);
+
+#if defined(__x86_64__)
+/// The SSE4.2 `crc32` instruction computes exactly this polynomial, 8
+/// bytes per instruction (~4x the table path). Compiled for SSE4.2 only
+/// here, so the rest of the library keeps the baseline ISA; callers
+/// reach it through the CPUID dispatch in Dispatched().
+__attribute__((target("sse4.2"))) uint32_t Crc32cExtendSse42(
+    uint32_t crc, const void* data, size_t len) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  uint64_t c = static_cast<uint32_t>(~crc);
+  while (len > 0 && (reinterpret_cast<uintptr_t>(p) & 7u) != 0) {
+    c = _mm_crc32_u8(static_cast<uint32_t>(c), *p++);
+    --len;
+  }
+  while (len >= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    c = _mm_crc32_u64(c, word);
+    p += 8;
+    len -= 8;
+  }
+  while (len-- > 0) {
+    c = _mm_crc32_u8(static_cast<uint32_t>(c), *p++);
+  }
+  return ~static_cast<uint32_t>(c);
+}
+#endif
+
+/// The implementation for this CPU, picked once on first use (a
+/// function-local static, so a checksum taken during another file's
+/// static initialization still sees a resolved pointer).
+Crc32cFn Dispatched() {
+  static const Crc32cFn fn = []() -> Crc32cFn {
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("sse4.2")) return Crc32cExtendSse42;
+#endif
+    return Crc32cExtendPortable;
+  }();
+  return fn;
+}
+
 }  // namespace
 
-uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t len) {
+uint32_t Crc32cExtendPortable(uint32_t crc, const void* data, size_t len) {
   const auto& t = Tables().t;
   const unsigned char* p = static_cast<const unsigned char*>(data);
   crc = ~crc;
@@ -59,6 +106,14 @@ uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t len) {
     crc = t[0][(crc ^ *p++) & 0xffu] ^ (crc >> 8);
   }
   return ~crc;
+}
+
+bool Crc32cHardwareAccelerated() {
+  return Dispatched() != Crc32cExtendPortable;
+}
+
+uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t len) {
+  return Dispatched()(crc, data, len);
 }
 
 }  // namespace wsq::net

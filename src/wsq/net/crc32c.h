@@ -18,7 +18,19 @@ namespace wsq::net {
 /// so the framing layer can accumulate across header / extension /
 /// payload scatter without staging a contiguous copy. The pre/post
 /// conditioning (~0 init, final xor) is handled internally per call.
+///
+/// On x86-64 CPUs with SSE4.2 this runs the hardware `crc32`
+/// instruction; elsewhere it falls back to Crc32cExtendPortable. Both
+/// produce identical values.
 uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t len);
+
+/// The portable slice-by-8 table implementation behind Crc32cExtend on
+/// CPUs without a CRC-32C instruction. Exposed so tests can hold the
+/// hardware path to it.
+uint32_t Crc32cExtendPortable(uint32_t crc, const void* data, size_t len);
+
+/// True when Crc32cExtend dispatches to the hardware instruction.
+bool Crc32cHardwareAccelerated();
 
 /// One-shot convenience: CRC-32C of a single buffer.
 inline uint32_t Crc32c(const void* data, size_t len) {

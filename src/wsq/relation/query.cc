@@ -50,27 +50,39 @@ Result<std::unique_ptr<QueryCursor>> QueryCursor::Open(
 }
 
 Result<std::vector<Tuple>> QueryCursor::FetchBlock(int64_t max_tuples) {
+  std::vector<const Tuple*> rows;
+  WSQ_RETURN_IF_ERROR(ScanBlock(max_tuples, &rows));
+  std::vector<Tuple> block;
+  block.reserve(rows.size());
+  for (const Tuple* row : rows) {
+    Result<Tuple> projected = row->Project(projection_);
+    if (!projected.ok()) return projected.status();
+    block.push_back(std::move(projected).value());
+  }
+  return block;
+}
+
+Status QueryCursor::ScanBlock(int64_t max_tuples,
+                              std::vector<const Tuple*>* rows) {
   if (max_tuples < 1) {
     return Status::InvalidArgument("FetchBlock: max_tuples must be >= 1");
   }
-  std::vector<Tuple> block;
+  rows->clear();
   // Reserve what can actually be produced — a remote caller may request
   // an absurd block size and must not drive an allocation that large.
-  block.reserve(static_cast<size_t>(
+  rows->reserve(static_cast<size_t>(
       std::min<int64_t>(max_tuples,
                         static_cast<int64_t>(table_->num_rows() - position_))));
   while (position_ < table_->num_rows() &&
-         block.size() < static_cast<size_t>(max_tuples)) {
+         rows->size() < static_cast<size_t>(max_tuples)) {
     const Tuple& row = table_->row(position_);
     ++position_;
     ++rows_scanned_;
     if (predicate_ && !predicate_(row)) continue;
-    Result<Tuple> projected = row.Project(projection_);
-    if (!projected.ok()) return projected.status();
-    block.push_back(std::move(projected).value());
+    rows->push_back(&row);
     ++rows_produced_;
   }
-  return block;
+  return Status::Ok();
 }
 
 }  // namespace wsq

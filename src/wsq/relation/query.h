@@ -45,8 +45,18 @@ class QueryCursor {
   const Schema& output_schema() const { return output_schema_; }
 
   /// Fetches up to `max_tuples` next tuples; an empty vector signals
-  /// end-of-results. kInvalidArgument when max_tuples < 1.
+  /// end-of-results. kInvalidArgument when max_tuples < 1. Built on
+  /// ScanBlock: each scanned row projected into a fresh Tuple.
   Result<std::vector<Tuple>> FetchBlock(int64_t max_tuples);
+
+  /// The non-copying form of FetchBlock: replaces `*rows` with pointers
+  /// to the next (up to `max_tuples`) qualifying table rows, unprojected.
+  /// Block tuple i is `rows[i]` projected onto projection(). The
+  /// pointers stay valid while the table is not modified.
+  Status ScanBlock(int64_t max_tuples, std::vector<const Tuple*>* rows);
+
+  /// Table column index of each output column, in output order.
+  const std::vector<size_t>& projection() const { return projection_; }
 
   bool exhausted() const { return position_ >= table_->num_rows(); }
 

@@ -98,13 +98,26 @@ Result<std::string> UnescapeField(const std::string& escaped) {
   return out;
 }
 
-Result<std::string> TupleSerializer::Serialize(const Tuple& tuple) const {
-  WSQ_RETURN_IF_ERROR(tuple.ConformsTo(schema_));
-  std::string out;
-  for (size_t i = 0; i < tuple.num_values(); ++i) {
-    if (i > 0) out += '|';
-    out += EscapeField(ValueToString(tuple.value(i)));
+TupleSerializer::TupleSerializer(Schema schema)
+    : schema_(std::move(schema)), all_columns_(schema_.num_columns()) {
+  for (size_t i = 0; i < all_columns_.size(); ++i) all_columns_[i] = i;
+}
+
+Status TupleSerializer::AppendTuple(const Tuple& tuple,
+                                    std::string* out) const {
+  if (tuple.num_values() != schema_.num_columns()) {
+    return Status::InvalidArgument(
+        "tuple arity " + std::to_string(tuple.num_values()) +
+        " does not match schema arity " +
+        std::to_string(schema_.num_columns()));
   }
+  return AppendRow(tuple, all_columns_, out);
+}
+
+Result<std::string> TupleSerializer::Serialize(const Tuple& tuple) const {
+  std::string out;
+  WSQ_RETURN_IF_ERROR(AppendTuple(tuple, &out));
+  out.pop_back();  // the row terminator
   return out;
 }
 
@@ -112,12 +125,32 @@ Result<std::string> TupleSerializer::SerializeBlock(
     const std::vector<Tuple>& block) const {
   std::string out;
   for (const Tuple& tuple : block) {
-    Result<std::string> row = Serialize(tuple);
-    if (!row.ok()) return row.status();
-    out += row.value();
-    out += '\n';
+    WSQ_RETURN_IF_ERROR(AppendTuple(tuple, &out));
   }
   return out;
+}
+
+Status TupleSerializer::AppendRow(const Tuple& row,
+                                  std::span<const size_t> columns,
+                                  std::string* out) const {
+  if (columns.size() != schema_.num_columns()) {
+    return Status::InvalidArgument(
+        "row view arity " + std::to_string(columns.size()) +
+        " does not match schema arity " +
+        std::to_string(schema_.num_columns()));
+  }
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (TypeOf(row.value(columns[i])) != schema_.column(i).type) {
+      return Status::InvalidArgument("type mismatch in column " +
+                                     schema_.column(i).name);
+    }
+  }
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (i > 0) *out += '|';
+    *out += EscapeField(ValueToString(row.value(columns[i])));
+  }
+  *out += '\n';
+  return Status::Ok();
 }
 
 Result<Tuple> TupleSerializer::Deserialize(const std::string& line) const {

@@ -1,6 +1,7 @@
 #ifndef WSQ_RELATION_TUPLE_SERIALIZER_H_
 #define WSQ_RELATION_TUPLE_SERIALIZER_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,7 @@ namespace wsq {
 /// parse).
 class TupleSerializer {
  public:
-  explicit TupleSerializer(Schema schema) : schema_(std::move(schema)) {}
+  explicit TupleSerializer(Schema schema);
 
   const Schema& schema() const { return schema_; }
 
@@ -28,6 +29,13 @@ class TupleSerializer {
   /// Serializes a whole block, newline-terminated rows.
   Result<std::string> SerializeBlock(const std::vector<Tuple>& block) const;
 
+  /// Appends one newline-terminated line to `*out`: the text of `row`
+  /// projected onto `columns` (one row index per schema column), without
+  /// building that projection. Type-checks each projected value against
+  /// the schema. The one row formatter; the methods above call it.
+  Status AppendRow(const Tuple& row, std::span<const size_t> columns,
+                   std::string* out) const;
+
   /// Parses one row produced by Serialize().
   Result<Tuple> Deserialize(const std::string& line) const;
 
@@ -35,7 +43,12 @@ class TupleSerializer {
   Result<std::vector<Tuple>> DeserializeBlock(const std::string& data) const;
 
  private:
+  /// AppendRow over every column, after checking the tuple's arity.
+  Status AppendTuple(const Tuple& tuple, std::string* out) const;
+
   Schema schema_;
+  /// 0, 1, ..., arity - 1: the identity projection.
+  std::vector<size_t> all_columns_;
 };
 
 /// Escapes '|', '\' and newline with backslashes.

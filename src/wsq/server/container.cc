@@ -20,6 +20,7 @@ DispatchResult ServiceContainer::Dispatch(
   result.response = std::move(handled.response);
   result.is_fault = handled.is_fault;
   result.replayed = handled.replayed;
+  std::lock_guard<std::mutex> lock(mu_);
   // Block-producing requests pay the full tuple-dependent cost; session
   // management and faults pay only the envelope-handling cost.
   result.service_time_ms =
@@ -28,6 +29,16 @@ DispatchResult ServiceContainer::Dispatch(
   total_busy_ms_ += result.service_time_ms;
   ++requests_served_;
   return result;
+}
+
+double ServiceContainer::total_busy_ms() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return total_busy_ms_;
+}
+
+int64_t ServiceContainer::requests_served() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return requests_served_;
 }
 
 }  // namespace wsq

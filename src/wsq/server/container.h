@@ -1,6 +1,7 @@
 #ifndef WSQ_SERVER_CONTAINER_H_
 #define WSQ_SERVER_CONTAINER_H_
 
+#include <mutex>
 #include <string>
 
 #include "wsq/common/random.h"
@@ -26,6 +27,12 @@ struct DispatchResult {
 /// per-tuple CPU plus the paging penalty when the block exceeds the
 /// effective buffer; session management ops pay the per-request cost
 /// only.
+///
+/// Dispatch may be called concurrently: the hosted service does its own
+/// locking, and the container guards only its noise draw and its
+/// busy/served accounting. A single-threaded caller therefore draws the
+/// same noise sequence, in the same order, as it always has. Reconfigure
+/// the load model only while no Dispatch is running.
 class ServiceContainer {
  public:
   /// `service` must outlive the container. The load model is owned and
@@ -46,16 +53,15 @@ class ServiceContainer {
   const LoadModel& load_model() const { return load_model_; }
 
   /// Total simulated busy time, for utilization-style assertions.
-  double total_busy_ms() const { return total_busy_ms_; }
-  int64_t requests_served() const { return requests_served_; }
+  double total_busy_ms() const;
+  int64_t requests_served() const;
 
   /// Forwards the hosted service's open-session count (-1 when the
   /// service is sessionless).
   int64_t active_sessions() const { return service_->ActiveSessions(); }
 
   /// Forwards idle-session eviction to the hosted service (see
-  /// Service::EvictIdleSessions). Caller must serialize with Dispatch,
-  /// exactly as for Dispatch itself.
+  /// Service::EvictIdleSessions); safe to run alongside Dispatch.
   int64_t EvictIdleSessions(int64_t now_micros, int64_t idle_micros) {
     return service_->EvictIdleSessions(now_micros, idle_micros);
   }
@@ -63,6 +69,8 @@ class ServiceContainer {
  private:
   Service* service_;
   LoadModel load_model_;
+  /// Guards rng_, total_busy_ms_ and requests_served_.
+  mutable std::mutex mu_;
   Random rng_;
   double total_busy_ms_ = 0.0;
   int64_t requests_served_ = 0;

@@ -63,6 +63,10 @@ ServiceResult DataService::Handle(const std::string& request_document,
     }
     case RequestKind::kCloseSession:
       return HandleCloseSession(payload.value());
+    case RequestKind::kProcessBlock:
+      return Fault("Client",
+                   "data service does not support the ProcessBlock "
+                   "operation");
   }
   return Fault("Server", "unreachable dispatch");
 }
@@ -107,14 +111,16 @@ ServiceResult DataService::HandleOpenSession(const XmlNode& payload) {
     return Fault("Client", table.status().ToString());
   }
 
-  Session session;
-  session.serializer = std::make_unique<TupleSerializer>(
-      cursor.value()->output_schema());
-  session.cursor = std::move(cursor).value();
-  session.last_touch_micros = WallClock().NowMicros();
+  auto session = std::make_shared<Session>();
+  session->cursor = std::move(cursor).value();
+  session->last_touch_micros = WallClock().NowMicros();
 
-  const int64_t id = next_session_id_++;
-  sessions_.emplace(id, std::move(session));
+  int64_t id = 0;
+  {
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    id = next_session_id_++;
+    sessions_.emplace(id, std::move(session));
+  }
 
   OpenSessionResponse response;
   response.session_id = id;
@@ -125,11 +131,19 @@ ServiceResult DataService::HandleOpenSession(const XmlNode& payload) {
   return result;
 }
 
+std::shared_ptr<DataService::Session> DataService::FindSession(int64_t id) {
+  std::lock_guard<std::mutex> lock(sessions_mu_);
+  auto it = sessions_.find(id);
+  if (it == sessions_.end()) return nullptr;
+  it->second->last_touch_micros = WallClock().NowMicros();
+  return it->second;
+}
+
 ServiceResult DataService::HandleRequestBlock(
     const RequestBlockRequest& request,
     const codec::BlockCodec& response_codec) {
-  auto it = sessions_.find(request.session_id);
-  if (it == sessions_.end()) {
+  const std::shared_ptr<Session> found = FindSession(request.session_id);
+  if (found == nullptr) {
     return Fault("Client",
                  "unknown session id " + std::to_string(request.session_id));
   }
@@ -137,8 +151,10 @@ ServiceResult DataService::HandleRequestBlock(
     return Fault("Client", "block size must be >= 1");
   }
 
-  Session& session = it->second;
-  session.last_touch_micros = WallClock().NowMicros();
+  Session& session = *found;
+  // Held through the replay-cache update, so a retry of this sequence
+  // arriving on another connection waits here and then replays.
+  std::lock_guard<std::mutex> lock(session.mu);
   if (request.sequence >= 0 && request.sequence == session.last_sequence &&
       !session.last_response.empty()) {
     // Idempotent retry: the client never saw our last response, so
@@ -151,15 +167,18 @@ ServiceResult DataService::HandleRequestBlock(
     return replay;
   }
 
-  Result<std::vector<Tuple>> block =
-      session.cursor->FetchBlock(request.block_size);
-  if (!block.ok()) {
-    return Fault("Server", block.status().ToString());
+  const Status scanned =
+      session.cursor->ScanBlock(request.block_size, &session.rows);
+  if (!scanned.ok()) {
+    return Fault("Server", scanned.ToString());
   }
 
-  Result<std::string> encoded = response_codec.EncodeBlockResponse(
+  // Encoded straight from the table rows: the projection is applied by
+  // the codec, so no row is copied before it reaches the wire buffer.
+  Result<std::string> encoded = response_codec.EncodeBlockResponseView(
       request.session_id, session.cursor->exhausted(),
-      session.serializer->schema(), block.value());
+      session.cursor->output_schema(),
+      codec::RowView{session.rows, session.cursor->projection()});
   if (!encoded.ok()) {
     // The fetch above already advanced the cursor, so this block's
     // tuples are gone. Cache the fault under the request's sequence so
@@ -175,7 +194,7 @@ ServiceResult DataService::HandleRequestBlock(
   }
 
   ServiceResult result;
-  result.tuples_produced = static_cast<int64_t>(block.value().size());
+  result.tuples_produced = static_cast<int64_t>(session.rows.size());
   result.response = std::move(encoded).value();
   if (request.sequence >= 0) {
     session.last_sequence = request.sequence;
@@ -190,12 +209,17 @@ ServiceResult DataService::HandleCloseSession(const XmlNode& payload) {
   if (!request.ok()) {
     return Fault("Client", request.status().ToString());
   }
-  auto it = sessions_.find(request.value().session_id);
-  if (it == sessions_.end()) {
+  size_t erased = 0;
+  {
+    // A request still in flight on this session keeps it alive through
+    // its own shared_ptr and finishes normally.
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    erased = sessions_.erase(request.value().session_id);
+  }
+  if (erased == 0) {
     return Fault("Client", "unknown session id " +
                                std::to_string(request.value().session_id));
   }
-  sessions_.erase(it);
 
   CloseSessionResponse response;
   response.session_id = request.value().session_id;
@@ -205,11 +229,17 @@ ServiceResult DataService::HandleCloseSession(const XmlNode& payload) {
   return result;
 }
 
+size_t DataService::open_sessions() const {
+  std::lock_guard<std::mutex> lock(sessions_mu_);
+  return sessions_.size();
+}
+
 int64_t DataService::EvictIdleSessions(int64_t now_micros,
                                        int64_t idle_micros) {
+  std::lock_guard<std::mutex> lock(sessions_mu_);
   int64_t evicted = 0;
   for (auto it = sessions_.begin(); it != sessions_.end();) {
-    if (now_micros - it->second.last_touch_micros >= idle_micros) {
+    if (now_micros - it->second->last_touch_micros >= idle_micros) {
       it = sessions_.erase(it);
       ++evicted;
     } else {

@@ -4,11 +4,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "wsq/codec/codec.h"
 #include "wsq/common/status.h"
-#include "wsq/relation/tuple_serializer.h"
 #include "wsq/server/dbms.h"
 #include "wsq/server/service.h"
 #include "wsq/soap/message.h"
@@ -20,6 +21,13 @@ namespace wsq {
 /// soap/message.h. Faults (unknown table, bad session, malformed XML)
 /// are returned as SOAP faults, never as C++ errors — exactly what a
 /// remote client would observe.
+///
+/// Thread safety: Handle may run concurrently. A short mutex guards the
+/// session map only; each session has its own mutex, held across fetch,
+/// encode and replay-cache update, so requests on different sessions
+/// run in parallel while requests on one session are serialized. A
+/// session closed or evicted while a request on it is in flight stays
+/// alive (shared ownership) until that request returns.
 class DataService final : public Service {
  public:
   /// `dbms` must outlive the service.
@@ -38,18 +46,21 @@ class DataService final : public Service {
   ServiceResult Handle(const std::string& request_document,
                        const codec::BlockCodec* response_codec) override;
 
-  size_t open_sessions() const { return sessions_.size(); }
+  size_t open_sessions() const;
 
   int64_t ActiveSessions() const override {
-    return static_cast<int64_t>(sessions_.size());
+    return static_cast<int64_t>(open_sessions());
   }
 
   int64_t EvictIdleSessions(int64_t now_micros, int64_t idle_micros) override;
 
  private:
   struct Session {
+    /// Held across one block request: fetch, encode, cache update.
+    std::mutex mu;
     std::unique_ptr<QueryCursor> cursor;
-    std::unique_ptr<TupleSerializer> serializer;
+    /// Scratch for ScanBlock, reused across blocks.
+    std::vector<const Tuple*> rows;
     /// Idempotent-retry replay cache: the last sequenced block this
     /// session dispatched. A repeated GetNextBlock with the same
     /// sequence number replays the cached response instead of
@@ -64,6 +75,8 @@ class DataService final : public Service {
     bool last_is_fault = false;
     /// Wall-clock stamp of the last Handle that touched this session
     /// (open or block fetch); what EvictIdleSessions compares against.
+    /// Guarded by sessions_mu_, and stamped at lookup, so a session
+    /// whose request has just been looked up is never idle.
     int64_t last_touch_micros = 0;
   };
 
@@ -74,11 +87,17 @@ class DataService final : public Service {
   ServiceResult HandleBinaryRequest(const std::string& request_document,
                                     const codec::BlockCodec* response_codec);
 
+  /// The session under `id`, stamped as touched now; null when unknown.
+  std::shared_ptr<Session> FindSession(int64_t id);
+
   static ServiceResult Fault(std::string_view code, std::string_view message);
 
   const Dbms* dbms_;
+  /// Guards next_session_id_, sessions_ (the map, not the sessions)
+  /// and every Session::last_touch_micros.
+  mutable std::mutex sessions_mu_;
   int64_t next_session_id_ = 1;
-  std::map<int64_t, Session> sessions_;
+  std::map<int64_t, std::shared_ptr<Session>> sessions_;
 };
 
 }  // namespace wsq

@@ -12,9 +12,11 @@
 namespace wsq {
 
 /// The MySQL stand-in behind the data service: a catalog of in-memory
-/// tables plus cursor-based query execution. Single-threaded by design —
-/// the simulated container serializes access, and the concurrency
-/// *effects* (CPU sharing, buffer sharing) are modeled by LoadModel.
+/// tables plus cursor-based query execution. Register every table before
+/// serving: after that the catalog and its tables are only read, so
+/// GetTable and OpenCursor may run concurrently (each cursor has one
+/// user at a time). The concurrency *effects* the paper measures (CPU
+/// sharing, buffer sharing) are modeled by LoadModel.
 class Dbms {
  public:
   Dbms() = default;

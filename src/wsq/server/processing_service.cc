@@ -18,6 +18,7 @@ Status ProcessingService::RegisterFunction(const std::string& name,
   if (function.transform == nullptr) {
     return Status::InvalidArgument("RegisterFunction: null transform");
   }
+  std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = functions_.emplace(name, std::move(function));
   if (!inserted) {
     return Status::InvalidArgument("function already registered: " + name);
@@ -27,6 +28,7 @@ Status ProcessingService::RegisterFunction(const std::string& name,
 
 Result<const ProcessingFunction*> ProcessingService::GetFunction(
     const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = functions_.find(name);
   if (it == functions_.end()) {
     return Status::NotFound("no function named " + name);
@@ -34,7 +36,13 @@ Result<const ProcessingFunction*> ProcessingService::GetFunction(
   return &it->second;
 }
 
+int64_t ProcessingService::tuples_processed() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return tuples_processed_;
+}
+
 ServiceResult ProcessingService::Handle(const std::string& request_document) {
+  std::lock_guard<std::mutex> lock(mu_);
   Result<XmlNode> payload = ParseEnvelope(request_document);
   if (!payload.ok()) {
     return Fault("Client", payload.status().ToString());

@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "wsq/common/status.h"
@@ -33,6 +34,10 @@ struct ProcessingFunction {
 ///
 /// Typical uses: lookups, enrichment, scoring — anything mapping one
 /// input tuple to one output tuple.
+///
+/// Thread safety: Handle may be called concurrently, but the service
+/// runs one request at a time, so a registered transform is never
+/// invoked from two threads at once and needs no locking of its own.
 class ProcessingService final : public Service {
  public:
   ProcessingService() = default;
@@ -52,7 +57,7 @@ class ProcessingService final : public Service {
 
   ServiceResult Handle(const std::string& request_document) override;
 
-  int64_t tuples_processed() const { return tuples_processed_; }
+  int64_t tuples_processed() const;
 
  private:
   ServiceResult HandleProcessBlock(const XmlNode& payload);
@@ -60,6 +65,8 @@ class ProcessingService final : public Service {
   static ServiceResult Fault(std::string_view code,
                              std::string_view message);
 
+  /// Serializes Handle (and guards the members below).
+  mutable std::mutex mu_;
   std::map<std::string, ProcessingFunction> functions_;
   int64_t tuples_processed_ = 0;
 };

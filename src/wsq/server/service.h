@@ -30,11 +30,17 @@ struct ServiceResult {
 /// parse the SOAP request, do the work, and answer with either a
 /// response envelope or a fault — never a C++ error; remote callers can
 /// only ever see documents.
+///
+/// Thread safety: every member may be called concurrently, from any
+/// number of threads (the live server dispatches from a worker pool
+/// with no lock of its own). Each implementation does its own locking:
+/// DataService locks per session, ProcessingService runs one request at
+/// a time.
 class Service {
  public:
   virtual ~Service() = default;
 
-  /// Handles one raw SOAP request document.
+  /// Handles one raw SOAP request document. May be called concurrently.
   virtual ServiceResult Handle(const std::string& request_document) = 0;
 
   /// Codec-aware entry point: `response_codec` configures how block

@@ -18,8 +18,9 @@ std::shared_ptr<Table> MakeNums(int rows) {
       "nums", Schema({{"id", ColumnType::kInt64},
                       {"label", ColumnType::kString}}));
   for (int i = 0; i < rows; ++i) {
-    table->AppendUnchecked(Tuple(
-        {Value(static_cast<int64_t>(i)), Value("r" + std::to_string(i))}));
+    const std::string label = std::string("r").append(std::to_string(i));
+    table->AppendUnchecked(
+        Tuple({Value(static_cast<int64_t>(i)), Value(label)}));
   }
   return table;
 }

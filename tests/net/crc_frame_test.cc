@@ -60,6 +60,62 @@ TEST(Crc32cTest, EveryBitFlipChangesTheSum) {
   }
 }
 
+// Crc32cExtend dispatches to the SSE4.2 instruction where the CPU has it;
+// the table implementation is the reference it must match exactly.
+std::vector<unsigned char> PseudoRandomBytes(size_t n) {
+  std::vector<unsigned char> bytes(n);
+  uint32_t x = 0x9E3779B9u;
+  for (unsigned char& b : bytes) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  return bytes;
+}
+
+TEST(Crc32cTest, DispatchesToHardwareWhenTheCpuHasIt) {
+#if defined(__x86_64__)
+  EXPECT_EQ(Crc32cHardwareAccelerated(),
+            __builtin_cpu_supports("sse4.2") != 0);
+#else
+  EXPECT_FALSE(Crc32cHardwareAccelerated());
+#endif
+}
+
+TEST(Crc32cTest, DispatchedEqualsPortableAtEveryLengthAndAlignment) {
+  const std::vector<unsigned char> bytes = PseudoRandomBytes(1024 + 8);
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      const unsigned char* p = bytes.data() + align;
+      ASSERT_EQ(Crc32cExtend(0, p, len), Crc32cExtendPortable(0, p, len))
+          << "align " << align << " len " << len;
+      // A running (non-zero) checksum folds in the same way.
+      ASSERT_EQ(Crc32cExtend(0xDEADBEEFu, p, len),
+                Crc32cExtendPortable(0xDEADBEEFu, p, len))
+          << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, DispatchedChainsLikePortableOverEverySplit) {
+  const std::vector<unsigned char> bytes = PseudoRandomBytes(200);
+  const uint32_t whole = Crc32cExtendPortable(0, bytes.data(), bytes.size());
+  for (size_t a = 0; a <= bytes.size(); a += 7) {
+    for (size_t b = a; b <= bytes.size(); b += 5) {
+      uint32_t crc = Crc32cExtend(0, bytes.data(), a);
+      crc = Crc32cExtend(crc, bytes.data() + a, b - a);
+      crc = Crc32cExtend(crc, bytes.data() + b, bytes.size() - b);
+      ASSERT_EQ(crc, whole) << "splits at " << a << ", " << b;
+      // Mixed chains: either implementation may continue the other's sum.
+      uint32_t mixed = Crc32cExtendPortable(0, bytes.data(), a);
+      mixed = Crc32cExtend(mixed, bytes.data() + a, b - a);
+      mixed = Crc32cExtendPortable(mixed, bytes.data() + b, bytes.size() - b);
+      ASSERT_EQ(mixed, whole) << "splits at " << a << ", " << b;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Frame-level integrity: the kFrameFlagCrc trailer through WriteFrame,
 // AppendFrameBytes, ReadFrame and FrameParser.

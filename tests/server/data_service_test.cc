@@ -15,8 +15,9 @@ class DataServiceTest : public ::testing::Test {
         "nums", Schema({{"id", ColumnType::kInt64},
                         {"label", ColumnType::kString}}));
     for (int i = 0; i < 10; ++i) {
-      table->AppendUnchecked(Tuple(
-          {Value(static_cast<int64_t>(i)), Value("r" + std::to_string(i))}));
+      const std::string label = std::string("r").append(std::to_string(i));
+      table->AppendUnchecked(
+          Tuple({Value(static_cast<int64_t>(i)), Value(label)}));
     }
     ASSERT_TRUE(dbms_.RegisterTable(table).ok());
     service_ = std::make_unique<DataService>(&dbms_);
@@ -114,6 +115,28 @@ TEST_F(DataServiceTest, MalformedDocumentYieldsFault) {
 TEST_F(DataServiceTest, UnknownOperationYieldsFault) {
   XmlNode op("Frobnicate");
   EXPECT_TRUE(service_->Handle(BuildEnvelope(op)).is_fault);
+}
+
+TEST_F(DataServiceTest, ProcessBlockYieldsClientFaultNamingTheOperation) {
+  // A push-direction request sent to the data endpoint is the caller's
+  // mistake: a Client fault that names the operation, not a Server one.
+  ProcessBlockRequest request;
+  request.function = "score";
+  request.num_tuples = 0;
+  ServiceResult result = service_->Handle(EncodeProcessBlock(request));
+  ASSERT_TRUE(result.is_fault);
+
+  Result<XmlNode> root = ParseXml(result.response);
+  ASSERT_TRUE(root.ok());
+  Result<const XmlNode*> body = root.value().ChildByLocalName("Body");
+  ASSERT_TRUE(body.ok());
+  ASSERT_FALSE(body.value()->children().empty());
+  const XmlNode& fault = body.value()->children().front();
+  EXPECT_EQ(fault.ChildText("faultcode").value(),
+            std::string(kSoapPrefix) + ":Client");
+  const std::string message = fault.ChildText("faultstring").value();
+  EXPECT_NE(message.find("ProcessBlock"), std::string::npos) << message;
+  EXPECT_NE(message.find("not support"), std::string::npos) << message;
 }
 
 TEST_F(DataServiceTest, ProjectionRespectedInPayload) {
