@@ -23,13 +23,7 @@
 // Per-exchange wall times from the churn phase feed --bench-json
 // (BENCH_pr8.json): runs/sec and p50/p99 of connect-to-response.
 //
-// Flags (besides the standard BenchSession set):
-//   --connections=N       concurrent connections per churn wave (2000)
-//   --waves=W             churn waves (2)
-//   --shed-connections=N  sessions in the shedding phase (200)
-//   --shed-watermark=K    worker-queue depth that trips shedding (4)
-//   --stall-ms=MS         injected per-block server stall (30)
-//   --scale=S             TPC-H scale of the served table (0.01)
+// Flags: see --help.
 
 #include <sys/epoll.h>
 #include <sys/resource.h>
@@ -59,32 +53,6 @@ struct ChurnFlags {
   int stall_ms = 30;
   double scale = 0.01;
 };
-
-void ParseChurnFlags(int argc, char** argv, ChurnFlags* flags) {
-  auto value_of = [&](const char* name, int i) -> const char* {
-    const size_t n = std::strlen(name);
-    if (std::strncmp(argv[i], name, n) != 0) return nullptr;
-    if (argv[i][n] == '=') return argv[i] + n + 1;
-    return nullptr;
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (const char* v = value_of("--connections", i))
-      flags->connections = std::atoi(v);
-    if (const char* v = value_of("--waves", i)) flags->waves = std::atoi(v);
-    if (const char* v = value_of("--shed-connections", i))
-      flags->shed_connections = std::atoi(v);
-    if (const char* v = value_of("--shed-watermark", i))
-      flags->shed_watermark = std::atoi(v);
-    if (const char* v = value_of("--stall-ms", i)) flags->stall_ms = std::atoi(v);
-    if (const char* v = value_of("--scale", i)) flags->scale = std::atof(v);
-  }
-  if (flags->connections < 1) flags->connections = 1;
-  if (flags->waves < 1) flags->waves = 1;
-  if (flags->shed_connections < 8) flags->shed_connections = 8;
-  // Watermark below 2 would shed the sequential session-open preamble.
-  if (flags->shed_watermark < 2) flags->shed_watermark = 2;
-  if (flags->stall_ms < 1) flags->stall_ms = 1;
-}
 
 /// Raises RLIMIT_NOFILE toward `needed` fds (client + server ends plus
 /// slack). The bench fails loudly on an insufficient limit instead of
@@ -267,9 +235,24 @@ std::unique_ptr<net::WsqServer> StartServer(ServiceContainer* container,
 }
 
 int Main(int argc, char** argv) {
-  bench::BenchSession session(argc, argv);
   ChurnFlags flags;
-  ParseChurnFlags(argc, argv, &flags);
+  bench::BenchSession session(
+      argc, argv,
+      FlagTable()
+          .Add("connections", &flags.connections, "connections per wave")
+          .Add("waves", &flags.waves, "churn waves")
+          .Add("shed-connections", &flags.shed_connections,
+               "sessions in the shedding phase")
+          .Add("shed-watermark", &flags.shed_watermark,
+               "worker-queue depth that trips shedding")
+          .Add("stall-ms", &flags.stall_ms, "injected per-block server stall")
+          .Add("scale", &flags.scale, "TPC-H scale of the served table"));
+  if (flags.connections < 1) flags.connections = 1;
+  if (flags.waves < 1) flags.waves = 1;
+  if (flags.shed_connections < 8) flags.shed_connections = 8;
+  // Watermark below 2 would shed the sequential session-open preamble.
+  if (flags.shed_watermark < 2) flags.shed_watermark = 2;
+  if (flags.stall_ms < 1) flags.stall_ms = 1;
 
   bench::PrintHeader(
       "c10k_churn",

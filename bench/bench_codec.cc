@@ -13,9 +13,7 @@
 // double precision, and binary must additionally round-trip the source
 // doubles bit-exactly (the precision SOAP drops).
 //
-// Flags (besides the standard BenchSession set):
-//   --rows=N    tuples per block (default 10000)
-//   --reps=R    measured repetitions per codec (default 30)
+// Flags: see --help.
 //
 // Output ends with the machine-readable line CI's codec-smoke step
 // asserts on:
@@ -37,16 +35,6 @@ struct CodecBenchFlags {
   int rows = 10000;
   int reps = 30;
 };
-
-void ParseCodecFlags(int argc, char** argv, CodecBenchFlags* flags) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--rows=", 7) == 0) flags->rows = std::atoi(arg + 7);
-    if (std::strncmp(arg, "--reps=", 7) == 0) flags->reps = std::atoi(arg + 7);
-  }
-  if (flags->rows < 1) flags->rows = 1;
-  if (flags->reps < 1) flags->reps = 1;
-}
 
 struct CodecTiming {
   double encode_ms = 0.0;
@@ -359,9 +347,14 @@ void Run(const CodecBenchFlags& flags) {
 }  // namespace wsq::bench
 
 int main(int argc, char** argv) {
-  wsq::bench::BenchSession session(argc, argv);
   wsq::bench::CodecBenchFlags flags;
-  wsq::bench::ParseCodecFlags(argc, argv, &flags);
+  wsq::bench::BenchSession session(
+      argc, argv,
+      wsq::FlagTable()
+          .Add("rows", &flags.rows, "tuples per block")
+          .Add("reps", &flags.reps, "measured repetitions per codec"));
+  if (flags.rows < 1) flags.rows = 1;
+  if (flags.reps < 1) flags.reps = 1;
   wsq::bench::Run(flags);
   return 0;
 }

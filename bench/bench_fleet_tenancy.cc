@@ -13,12 +13,7 @@
 // adaptation (plus the chaos ResilienceConfig) must absorb the sheds
 // and every tenant must still drain its query.
 //
-// Flags beyond the BenchSession set:
-//   --runs=N        fleet repetitions per sim cell (default 3)
-//   --live-tenants=N  tenants in the live fleet (default 6)
-//   --live-port=P   use an external wsqd for the live phase (in-process
-//                   server with a forced shed watermark when absent)
-//   --skip-live     sim phase only
+// Flags: see --help.
 
 #include <algorithm>
 #include <cstdio>
@@ -38,27 +33,6 @@ struct FleetFlags {
   int live_port = 0;
   bool skip_live = false;
 };
-
-void ParseFleetFlags(int argc, char** argv, FleetFlags* flags) {
-  auto value_of = [&](const char* name, int i) -> const char* {
-    const size_t n = std::strlen(name);
-    if (std::strncmp(argv[i], name, n) != 0) return nullptr;
-    if (argv[i][n] == '=') return argv[i] + n + 1;
-    return nullptr;
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (const char* v = value_of("--runs", i)) flags->runs = std::atoi(v);
-    if (const char* v = value_of("--live-tenants", i)) {
-      flags->live_tenants = std::atoi(v);
-    }
-    if (const char* v = value_of("--live-port", i)) {
-      flags->live_port = std::atoi(v);
-    }
-    if (std::strcmp(argv[i], "--skip-live") == 0) flags->skip_live = true;
-  }
-  if (flags->runs < 1) flags->runs = 1;
-  if (flags->live_tenants < 1) flags->live_tenants = 1;
-}
 
 struct SimCell {
   std::string label;
@@ -293,9 +267,17 @@ int RunLivePhase(const FleetFlags& flags, bench::BenchSession& session) {
 }
 
 int Main(int argc, char** argv) {
-  bench::BenchSession session(argc, argv);
   FleetFlags flags;
-  ParseFleetFlags(argc, argv, &flags);
+  bench::BenchSession session(
+      argc, argv,
+      FlagTable()
+          .Add("runs", &flags.runs, "fleet repetitions per sim cell")
+          .Add("live-tenants", &flags.live_tenants, "tenants in the live fleet")
+          .Add("live-port", &flags.live_port,
+               "external wsqd for the live phase; 0 = in-process server")
+          .Add("skip-live", &flags.skip_live, "sim phase only"));
+  if (flags.runs < 1) flags.runs = 1;
+  if (flags.live_tenants < 1) flags.live_tenants = 1;
 
   bench::PrintHeader(
       "fleet_tenancy",

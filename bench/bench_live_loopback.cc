@@ -3,21 +3,9 @@
 // LiveBackend — the whole stack (framing, sockets, session isolation,
 // controllers, resilience, observability) over a real network path.
 //
-// Flags (besides the standard BenchSession set):
-//   --clients=N      concurrent client lanes (default 4)
-//   --runs=R         queries per lane (default 2)
-//   --port=P         talk to an already-running wsqd on P instead of the
-//                    in-process server (its --fault-plan then governs)
-//   --controller=C   controller per run (factory name, default "hybrid")
-//   --scale=S        TPC-H scale of the served table (default 0.02)
-//   --codec=NAME     block wire codec the clients advertise (soap |
-//                    binary | binary+lz; default soap). The in-process
-//                    server always offers binary+lz, so the flag alone
-//                    decides what the wire carries.
-//   --stats-out=PATH fetch the server's live stats JSON over the wire
-//                    (kStats control frame) after the fleet drains and
-//                    write it to PATH — works against the in-process
-//                    server and an external --port wsqd alike.
+// Flags: see --help. --codec picks the codec the clients advertise;
+// the in-process server always offers binary+lz, so the flag alone
+// decides what the wire carries.
 //
 // With --trace-out the clients negotiate trace-context propagation, so
 // the exported Chrome trace carries the server-side stage spans (clock-
@@ -57,25 +45,6 @@ struct LaneOutcome {
   int64_t retries = 0;
   std::string first_error;
 };
-
-void ParseLiveFlags(int argc, char** argv, LiveBenchFlags* flags) {
-  auto value_of = [&](const char* name, int i) -> const char* {
-    const size_t n = std::strlen(name);
-    if (std::strncmp(argv[i], name, n) != 0) return nullptr;
-    if (argv[i][n] == '=') return argv[i] + n + 1;
-    return nullptr;
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (const char* v = value_of("--clients", i)) flags->clients = std::atoi(v);
-    if (const char* v = value_of("--runs", i)) flags->runs = std::atoi(v);
-    if (const char* v = value_of("--port", i)) flags->port = std::atoi(v);
-    if (const char* v = value_of("--controller", i)) flags->controller = v;
-    if (const char* v = value_of("--scale", i)) flags->scale = std::atof(v);
-    if (const char* v = value_of("--stats-out", i)) flags->stats_out = v;
-  }
-  if (flags->clients < 1) flags->clients = 1;
-  if (flags->runs < 1) flags->runs = 1;
-}
 
 /// One lane: its own backend clone, a fresh controller and connection
 /// per run — the multi-client shape of the paper's testbed, over TCP.
@@ -121,9 +90,19 @@ LaneOutcome RunLane(const LiveSetup& setup, const LiveBenchFlags& flags,
 }
 
 int Main(int argc, char** argv) {
-  bench::BenchSession session(argc, argv);
   LiveBenchFlags flags;
-  ParseLiveFlags(argc, argv, &flags);
+  bench::BenchSession session(
+      argc, argv,
+      FlagTable()
+          .Add("clients", &flags.clients, "concurrent client lanes")
+          .Add("runs", &flags.runs, "queries per lane")
+          .Add("port", &flags.port, "external wsqd; 0 = in-process server")
+          .Add("controller", &flags.controller, "controller per run")
+          .Add("scale", &flags.scale, "TPC-H scale of the served table")
+          .Add("stats-out", &flags.stats_out,
+               "after the fleet drains, fetch the server's stats JSON here"));
+  if (flags.clients < 1) flags.clients = 1;
+  if (flags.runs < 1) flags.runs = 1;
 
   bench::PrintHeader(
       "live_loopback",

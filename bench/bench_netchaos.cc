@@ -5,10 +5,7 @@
 // exits non-zero on any lost or duplicated tuple — so the numbers it
 // emits are the cost of *surviving* the fault, not of ignoring it.
 //
-// Flags (besides the standard BenchSession set):
-//   --runs=R         queries per preset (default 3)
-//   --scale=S        TPC-H scale of the served table (default 0.01)
-//   --controller=C   controller per run (factory name, default "hybrid")
+// Flags: see --help.
 //
 // Presets exercised: none (proxy transparency tax), latency, trickle,
 // corrupt (CRC-triggered retries). The full 8-preset matrix lives in
@@ -37,21 +34,6 @@ struct NetChaosFlags {
   double scale = 0.01;
   std::string controller = "hybrid";
 };
-
-void ParseNetChaosFlags(int argc, char** argv, NetChaosFlags* flags) {
-  auto value_of = [&](const char* name, int i) -> const char* {
-    const size_t n = std::strlen(name);
-    if (std::strncmp(argv[i], name, n) != 0) return nullptr;
-    if (argv[i][n] == '=') return argv[i] + n + 1;
-    return nullptr;
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (const char* v = value_of("--runs", i)) flags->runs = std::atoi(v);
-    if (const char* v = value_of("--scale", i)) flags->scale = std::atof(v);
-    if (const char* v = value_of("--controller", i)) flags->controller = v;
-  }
-  if (flags->runs < 1) flags->runs = 1;
-}
 
 struct PresetOutcome {
   int ok_runs = 0;
@@ -118,9 +100,14 @@ PresetOutcome RunPreset(const LiveSetup& setup, const NetChaosFlags& flags,
 }
 
 int Main(int argc, char** argv) {
-  bench::BenchSession session(argc, argv);
   NetChaosFlags flags;
-  ParseNetChaosFlags(argc, argv, &flags);
+  bench::BenchSession session(
+      argc, argv,
+      FlagTable()
+          .Add("runs", &flags.runs, "queries per preset")
+          .Add("scale", &flags.scale, "TPC-H scale of the served table")
+          .Add("controller", &flags.controller, "controller per run"));
+  if (flags.runs < 1) flags.runs = 1;
 
   bench::PrintHeader(
       "netchaos",

@@ -11,60 +11,43 @@
 #include <vector>
 
 #include "wsq/api.h"
+#include "wsq/common/flags.h"
 
 namespace wsq::bench {
 
 /// Command-line session for bench binaries: execution parallelism,
-/// observability, and the machine-readable perf summary. Recognizes
+/// observability, chaos and codec selection, and the machine-readable
+/// perf summary. One FlagTable parse covers these standard flags and the
+/// bench's own (`bench_flags`); `--help` lists them all, and a bad
+/// command line exits 2 with the usage.
 ///
-///   --jobs=N               run lanes for repeated-run experiments;
-///                          default = hardware concurrency, 1 = the
-///                          historical serial path. Figure/table output
-///                          is byte-identical whatever N (seeds and
-///                          fold order never depend on the lane count).
-///   --bench-json=<path>    write a BENCH_*.json perf summary at exit:
-///                          wall time, runs, runs/sec, per-run p50/p99
-///   --metrics-out=<path>   write a metrics snapshot at exit
-///                          (.json / .csv by extension, else text)
-///   --trace-out=<path>     write the run trace at exit
-///                          (.jsonl for JSONL, else Chrome trace JSON)
-///   --fault-plan=<name>    chaos mode for benches that support it: a
-///                          FaultPlan preset ("burst", "latency",
-///                          "flaky", ...; "none" = off) scripted into
-///                          every run
-///   --max-retries=<N>      override the chaos ResilienceConfig's retry
-///                          budget (only meaningful with --fault-plan)
-///   --breaker-threshold=<K> override the chaos circuit-breaker
-///                          threshold; 0 disables the breaker
-///   --codec=<name>         block wire codec for benches that support
-///                          it: soap (default, the historical XML
-///                          path), binary, or binary+lz
-///
-/// (all also accept the two-token "--flag path" form; other arguments
-/// are ignored). When an observability flag is present a RunObserver
-/// over the global metrics registry and a private tracer is installed
-/// as the process-global observer, so every backend run the bench
-/// performs emits into it with zero bench-specific plumbing. Without
-/// flags the global observer stays null and the bench output is
-/// byte-identical to an unobserved binary.
+/// When an observability flag is present a RunObserver over the global
+/// metrics registry and a private tracer is installed as the
+/// process-global observer, so every backend run the bench performs
+/// emits into it with zero bench-specific plumbing. Without flags the
+/// global observer stays null and the bench output is byte-identical to
+/// an unobserved binary.
 class BenchSession {
  public:
-  BenchSession(int argc, char** argv)
+  BenchSession(int argc, char** argv, FlagTable bench_flags = FlagTable())
       : bench_name_(Basename(argc > 0 ? argv[0] : "bench")),
-        start_(std::chrono::steady_clock::now()) {
-    std::string jobs_text;
-    std::string max_retries_text;
-    std::string breaker_text;
-    for (int i = 1; i < argc; ++i) {
-      ParseFlag(argc, argv, &i, "--metrics-out", &metrics_path_);
-      ParseFlag(argc, argv, &i, "--trace-out", &trace_path_);
-      ParseFlag(argc, argv, &i, "--bench-json", &bench_json_path_);
-      ParseFlag(argc, argv, &i, "--jobs", &jobs_text);
-      ParseFlag(argc, argv, &i, "--fault-plan", &fault_plan_);
-      ParseFlag(argc, argv, &i, "--max-retries", &max_retries_text);
-      ParseFlag(argc, argv, &i, "--breaker-threshold", &breaker_text);
-      ParseFlag(argc, argv, &i, "--codec", &codec_name_);
-    }
+        start_(std::chrono::steady_clock::now()),
+        jobs_(exec::ThreadPool::HardwareConcurrency()) {
+    bench_flags
+        .Add("jobs", &jobs_, "run lanes; 1 = serial (same figures either way)")
+        .Add("bench-json", &bench_json_path_, "write a BENCH_*.json at exit")
+        .Add("metrics-out", &metrics_path_,
+             "write a metrics snapshot at exit (.json, .csv, else text)")
+        .Add("trace-out", &trace_path_,
+             "write the run trace at exit (.jsonl, else Chrome JSON)")
+        .Add("fault-plan", &fault_plan_,
+             "FaultPlan preset scripted into every run; none = off")
+        .Add("max-retries", &max_retries_,
+             "chaos retry budget; -1 = the preset's")
+        .Add("breaker-threshold", &breaker_threshold_,
+             "chaos breaker threshold; 0 = off, -1 = the preset's")
+        .Add("codec", &codec_name_, "block codec: soap, binary or binary+lz");
+    ParseFlagsOrExit(bench_flags, argc, argv);
     if (!codec_name_.empty()) {
       Result<codec::CodecChoice> parsed =
           codec::CodecChoice::FromName(codec_name_);
@@ -76,16 +59,8 @@ class BenchSession {
         codec_ = parsed.value();
       }
     }
-    if (!max_retries_text.empty()) {
-      max_retries_ = std::atoi(max_retries_text.c_str());
-    }
-    if (!breaker_text.empty()) {
-      breaker_threshold_ = std::atoi(breaker_text.c_str());
-    }
-    jobs_ = jobs_text.empty() ? exec::ThreadPool::HardwareConcurrency()
-                              : std::atoi(jobs_text.c_str());
     if (jobs_ < 1) {
-      std::fprintf(stderr, "invalid --jobs=%s; using 1\n", jobs_text.c_str());
+      std::fprintf(stderr, "invalid --jobs=%d; using 1\n", jobs_);
       jobs_ = 1;
     }
     exec::SetDefaultJobs(jobs_);
@@ -225,18 +200,6 @@ class BenchSession {
     return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
   }
 
-  static void ParseFlag(int argc, char** argv, int* i, const char* name,
-                        std::string* out) {
-    const char* arg = argv[*i];
-    const size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) != 0) return;
-    if (arg[n] == '=') {
-      *out = arg + n + 1;
-    } else if (arg[n] == '\0' && *i + 1 < argc) {
-      *out = argv[++*i];
-    }
-  }
-
   static void Report(const Status& status, const char* what,
                      const std::string& path) {
     if (status.ok()) {
@@ -249,7 +212,7 @@ class BenchSession {
 
   std::string bench_name_;
   std::chrono::steady_clock::time_point start_;
-  int jobs_ = 1;
+  int jobs_;
   std::string metrics_path_;
   std::string trace_path_;
   std::string bench_json_path_;
@@ -263,11 +226,6 @@ class BenchSession {
   std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<RunObserver> observer_;
 };
-
-// The controller-factory helpers (FixedFactory, SwitchingFactory,
-// HybridFactory, ModelFactory, SelfTuningFactory, BaseFor) live in the
-// library now — wsq/control/factories.h — shared with examples and
-// tests; unqualified calls below resolve to the wsq:: versions.
 
 inline SimOptions OptionsFor(const ConfiguredProfile& conf,
                              uint64_t seed = 11) {

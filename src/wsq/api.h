@@ -64,7 +64,6 @@
 #include "wsq/common/text_table.h"
 #include "wsq/control/controller.h"
 #include "wsq/control/controller_factory.h"
-#include "wsq/control/factories.h"
 #include "wsq/control/fixed_controller.h"
 #include "wsq/control/hybrid_controller.h"
 #include "wsq/control/mimd_controller.h"
@@ -112,7 +111,6 @@
 #include "wsq/server/load_model.h"
 #include "wsq/server/processing_service.h"
 #include "wsq/server/service.h"
-#include "wsq/sim/experiment.h"
 #include "wsq/sim/ground_truth.h"
 #include "wsq/sim/profile.h"
 #include "wsq/sim/profile_io.h"

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "wsq/backend/query_backend.h"
-#include "wsq/control/factories.h"
+#include "wsq/control/controller_factory.h"
 #include "wsq/eventsim/event_sim.h"
 
 namespace wsq {

@@ -7,7 +7,7 @@
 
 #include "wsq/backend/query_backend.h"
 #include "wsq/common/status.h"
-#include "wsq/control/factories.h"
+#include "wsq/control/controller_factory.h"
 #include "wsq/sim/sim_engine.h"
 #include "wsq/stats/running_stats.h"
 

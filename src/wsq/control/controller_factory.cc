@@ -42,6 +42,40 @@ ModelBasedConfig PaperModelBasedConfig() {
   return config;
 }
 
+namespace {
+
+/// The nullptr-on-invalid face of a Make* result, for factory closures.
+std::unique_ptr<Controller> OrNull(Result<std::unique_ptr<Controller>> made) {
+  if (!made.ok()) return nullptr;
+  return std::move(made).value();
+}
+
+HybridConfig HybridFor(const ConfiguredProfile& conf) {
+  HybridConfig config = PaperHybridConfig();
+  config.base = BaseFor(conf, GainMode::kConstant);
+  return config;
+}
+
+ModelBasedConfig ModelFor(const ConfiguredProfile& conf,
+                          IdentificationModel model) {
+  ModelBasedConfig config = PaperModelBasedConfig();
+  config.model = model;
+  config.limits = conf.limits;
+  return config;
+}
+
+}  // namespace
+
+SwitchingConfig BaseFor(const ConfiguredProfile& conf, GainMode mode,
+                        uint64_t seed) {
+  SwitchingConfig config = PaperSwitchingConfig();
+  config.gain_mode = mode;
+  config.b1 = conf.paper_b1;
+  config.limits = conf.limits;
+  config.seed = seed;
+  return config;
+}
+
 Result<std::unique_ptr<Controller>> ControllerFactory::MakeFixed(
     int64_t block_size) {
   if (block_size < 1) {
@@ -134,6 +168,59 @@ Result<std::unique_ptr<Controller>> ControllerFactory::FromName(
     return MakeSelfTuning(config);
   }
   return Status::InvalidArgument("unknown controller name: " + name);
+}
+
+ControllerFactoryFn FixedFactory(int64_t size) {
+  return [size] { return OrNull(ControllerFactory::MakeFixed(size)); };
+}
+
+ControllerFactoryFn SwitchingFactory(const ConfiguredProfile& conf,
+                                     GainMode mode, double b1_override) {
+  SwitchingConfig config = BaseFor(conf, mode);
+  if (b1_override > 0.0) config.b1 = b1_override;
+  return [config] { return OrNull(ControllerFactory::MakeSwitching(config)); };
+}
+
+ControllerFactoryFn HybridFactory(const ConfiguredProfile& conf,
+                                  HybridFlavor flavor,
+                                  PhaseCriterion criterion,
+                                  int64_t reset_period) {
+  HybridConfig config = HybridFor(conf);
+  config.flavor = flavor;
+  config.criterion = criterion;
+  config.reset_period = reset_period;
+  return [config] { return OrNull(ControllerFactory::MakeHybrid(config)); };
+}
+
+ControllerFactoryFn ModelFactory(const ConfiguredProfile& conf,
+                                 IdentificationModel model) {
+  ModelBasedConfig config = ModelFor(conf, model);
+  return [config] { return OrNull(ControllerFactory::MakeModelBased(config)); };
+}
+
+ControllerFactoryFn SelfTuningFactory(const ConfiguredProfile& conf,
+                                      IdentificationModel model,
+                                      Continuation continuation) {
+  SelfTuningConfig config;
+  config.identification = ModelFor(conf, model);
+  config.continuation = continuation;
+  config.controller = HybridFor(conf);
+  return [config] { return OrNull(ControllerFactory::MakeSelfTuning(config)); };
+}
+
+ControllerFactoryFn NamedFactory(const std::string& name) {
+  return [name] { return OrNull(ControllerFactory::FromName(name)); };
+}
+
+ControllerFactoryFn WithWatchdog(ControllerFactoryFn inner,
+                                 WatchdogConfig config) {
+  return [inner = std::move(inner),
+          config]() -> std::unique_ptr<Controller> {
+    std::unique_ptr<Controller> controller = inner();
+    if (controller == nullptr) return nullptr;
+    return std::unique_ptr<Controller>(
+        new WatchdogController(std::move(controller), config));
+  };
 }
 
 }  // namespace wsq

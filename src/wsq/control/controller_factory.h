@@ -1,6 +1,8 @@
 #ifndef WSQ_CONTROL_CONTROLLER_FACTORY_H_
 #define WSQ_CONTROL_CONTROLLER_FACTORY_H_
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -11,6 +13,10 @@
 #include "wsq/control/model_based_controller.h"
 #include "wsq/control/self_tuning_controller.h"
 #include "wsq/control/switching_controller.h"
+#include "wsq/control/watchdog_controller.h"
+// ConfiguredProfile is a plain aggregate; this is a header-only
+// dependency — wsq_control does not link against wsq_sim.
+#include "wsq/sim/profile_library.h"
 
 namespace wsq {
 
@@ -52,6 +58,47 @@ class ControllerFactory {
   /// "self_tuning". Used by the examples' command lines.
   static Result<std::unique_ptr<Controller>> FromName(const std::string& name);
 };
+
+/// Builds a fresh controller for one run; experiments construct one per
+/// repetition so runs are independent (mirrors the paper's "10 runs ...
+/// scheduled in a round-robin fashion"). Every factory below constructs
+/// through the validated ControllerFactory::Make* and yields nullptr for
+/// a config that fails validation (repeated-run harnesses surface that
+/// as kInvalidArgument).
+using ControllerFactoryFn = std::function<std::unique_ptr<Controller>()>;
+
+/// Switching-controller config for a library configuration, paper-style:
+/// b1 from the config, limits from the config, everything else the
+/// paper's standard parameters.
+SwitchingConfig BaseFor(const ConfiguredProfile& conf, GainMode mode,
+                        uint64_t seed = 42);
+
+ControllerFactoryFn FixedFactory(int64_t size);
+
+ControllerFactoryFn SwitchingFactory(const ConfiguredProfile& conf,
+                                     GainMode mode, double b1_override = 0.0);
+
+ControllerFactoryFn HybridFactory(
+    const ConfiguredProfile& conf,
+    HybridFlavor flavor = HybridFlavor::kNoSwitchBack,
+    PhaseCriterion criterion = PhaseCriterion::kSignSwitches,
+    int64_t reset_period = 0);
+
+ControllerFactoryFn ModelFactory(const ConfiguredProfile& conf,
+                                 IdentificationModel model);
+
+ControllerFactoryFn SelfTuningFactory(const ConfiguredProfile& conf,
+                                      IdentificationModel model,
+                                      Continuation continuation);
+
+/// Factory over ControllerFactory::FromName ("hybrid", "fixed:<N>", ...).
+ControllerFactoryFn NamedFactory(const std::string& name);
+
+/// Wraps every controller `inner` produces in a divergence watchdog
+/// (chaos runs use this to guarantee bounded degradation; see
+/// WatchdogController). Propagates nullptr from `inner` unchanged.
+ControllerFactoryFn WithWatchdog(ControllerFactoryFn inner,
+                                 WatchdogConfig config = {});
 
 }  // namespace wsq
 

@@ -6,7 +6,7 @@
 
 #include "wsq/backend/query_backend.h"
 #include "wsq/common/status.h"
-#include "wsq/control/factories.h"
+#include "wsq/control/controller_factory.h"
 
 namespace wsq::exec {
 

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "wsq/common/status.h"
-#include "wsq/control/factories.h"
+#include "wsq/control/controller_factory.h"
 #include "wsq/fault/resilience_policy.h"
 
 namespace wsq::fleet {

@@ -74,6 +74,56 @@ constexpr std::string_view kCleanCloseMessage = "connection closed by peer";
 constexpr std::string_view kChecksumMismatchMessage =
     "frame checksum mismatch (corrupted on the wire)";
 
+/// The end-of-stream status of a read that had received `got` bytes of
+/// what it asked for.
+Status ClosedAfter(size_t got) {
+  return Status::Unavailable(got == 0 ? kCleanCloseMessage
+                                      : "connection closed mid-message");
+}
+
+/// Validates and appends one frame's wire bytes to `out` without
+/// counting it — AppendFrameBytes and WriteFrame count at different
+/// moments.
+Status EncodeFrame(const Frame& frame, std::string* out) {
+  if (frame.payload.size() > kMaxFramePayloadBytes) {
+    return Status::InvalidArgument(
+        "refusing to send a " + std::to_string(frame.payload.size()) +
+        "-byte frame payload (limit " +
+        std::to_string(kMaxFramePayloadBytes) + ")");
+  }
+  if (frame.span_block.size() > kMaxRemoteSpanBytes) {
+    return Status::InvalidArgument(
+        "refusing to send a " + std::to_string(frame.span_block.size()) +
+        "-byte span block (limit " + std::to_string(kMaxRemoteSpanBytes) +
+        ")");
+  }
+  const size_t start = out->size();
+  out->reserve(start + kFrameHeaderBytes + kTraceContextBytes + 4 +
+               frame.span_block.size() + frame.payload.size() +
+               kFrameCrcBytes);
+  char raw[kFrameHeaderBytes];
+  EncodeFrameHeader(frame, raw);
+  out->append(raw, sizeof(raw));
+  if (frame.has_trace) {
+    char ext[kTraceContextBytes];
+    EncodeTraceContext(frame.trace, ext);
+    out->append(ext, sizeof(ext));
+    if (!frame.span_block.empty()) {
+      char len_raw[4];
+      PutU32(len_raw, static_cast<uint32_t>(frame.span_block.size()));
+      out->append(len_raw, sizeof(len_raw));
+      out->append(frame.span_block);
+    }
+  }
+  out->append(frame.payload);
+  if (frame.has_crc) {
+    char trailer[kFrameCrcBytes];
+    PutU32(trailer, Crc32c(out->data() + start, out->size() - start));
+    out->append(trailer, sizeof(trailer));
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Status ReadExact(ByteStream& stream, void* buf, size_t len) {
@@ -82,11 +132,7 @@ Status ReadExact(ByteStream& stream, void* buf, size_t len) {
   while (got < len) {
     Result<size_t> n = stream.ReadSome(out + got, len - got);
     if (!n.ok()) return n.status();
-    if (n.value() == 0) {
-      return Status::Unavailable(got == 0
-                                     ? kCleanCloseMessage
-                                     : "connection closed mid-message");
-    }
+    if (n.value() == 0) return ClosedAfter(got);
     if (n.value() < len - got) PartialReadsCounter().Increment();
     got += n.value();
   }
@@ -142,16 +188,10 @@ Result<FrameHeader> DecodeFrameHeader(const char in[kFrameHeaderBytes]) {
   if (GetU32(in) != kFrameMagic) {
     return Status::InvalidArgument("bad frame magic (not a wsq peer?)");
   }
+  // Frame types are numbered contiguously, kRequest through kGoaway.
   const uint8_t type = static_cast<uint8_t>(in[4]);
-  if (type != static_cast<uint8_t>(FrameType::kRequest) &&
-      type != static_cast<uint8_t>(FrameType::kResponse) &&
-      type != static_cast<uint8_t>(FrameType::kHello) &&
-      type != static_cast<uint8_t>(FrameType::kHelloAck) &&
-      type != static_cast<uint8_t>(FrameType::kStats) &&
-      type != static_cast<uint8_t>(FrameType::kStatsAck) &&
-      type != static_cast<uint8_t>(FrameType::kPing) &&
-      type != static_cast<uint8_t>(FrameType::kPong) &&
-      type != static_cast<uint8_t>(FrameType::kGoaway)) {
+  if (type < static_cast<uint8_t>(FrameType::kRequest) ||
+      type > static_cast<uint8_t>(FrameType::kGoaway)) {
     return Status::InvalidArgument("unknown frame type " +
                                    std::to_string(type));
   }
@@ -175,142 +215,108 @@ Result<FrameHeader> DecodeFrameHeader(const char in[kFrameHeaderBytes]) {
 }
 
 Result<Frame> ReadFrame(ByteStream& stream) {
-  char raw[kFrameHeaderBytes];
-  WSQ_RETURN_IF_ERROR(ReadExact(stream, raw, sizeof(raw)));
-  Result<FrameHeader> header = DecodeFrameHeader(raw);
-  if (!header.ok()) return header.status();
+  FrameParser parser;
+  for (;;) {
+    const size_t want = parser.need();
+    Result<size_t> n = stream.ReadSome(parser.dest(), want);
+    if (!n.ok()) return n.status();
+    // Like ReadExact per phase: a close before the phase's first byte
+    // is reported as a clean close.
+    if (n.value() == 0) return ClosedAfter(parser.buffered_bytes());
+    if (n.value() < want) PartialReadsCounter().Increment();
+    Result<bool> done = parser.Advance(n.value());
+    if (!done.ok()) return done.status();
+    if (done.value()) return parser.Take();
+  }
+}
 
-  // CRC accumulates over the raw bytes exactly as transmitted, so the
-  // trailer is comparable regardless of which extensions travelled.
-  const bool checked = (header.value().flags & kFrameFlagCrc) != 0;
-  uint32_t crc = checked ? Crc32cExtend(0, raw, sizeof(raw)) : 0;
-
-  Frame frame;
-  frame.type = header.value().type;
-  frame.flags = header.value().flags;
-  frame.service_micros = header.value().service_micros;
-  if ((header.value().flags & kFrameFlagTraceContext) != 0) {
-    char ext[kTraceContextBytes];
-    WSQ_RETURN_IF_ERROR(ReadExact(stream, ext, sizeof(ext)));
-    if (checked) crc = Crc32cExtend(crc, ext, sizeof(ext));
-    frame.has_trace = true;
-    frame.trace = DecodeTraceContext(ext);
-  }
-  if ((header.value().flags & kFrameFlagServerSpans) != 0) {
-    char len_raw[4];
-    WSQ_RETURN_IF_ERROR(ReadExact(stream, len_raw, sizeof(len_raw)));
-    if (checked) crc = Crc32cExtend(crc, len_raw, sizeof(len_raw));
-    const uint32_t span_len = GetU32(len_raw);
-    if (span_len > kMaxRemoteSpanBytes) {
-      return Status::InvalidArgument(
-          "span block of " + std::to_string(span_len) +
-          " bytes exceeds the " + std::to_string(kMaxRemoteSpanBytes) +
-          "-byte limit");
-    }
-    frame.span_block.resize(span_len);
-    if (span_len > 0) {
-      WSQ_RETURN_IF_ERROR(
-          ReadExact(stream, frame.span_block.data(), frame.span_block.size()));
-      if (checked) {
-        crc = Crc32cExtend(crc, frame.span_block.data(),
-                           frame.span_block.size());
-      }
-    }
-  }
-  frame.payload.resize(header.value().payload_len);
-  if (header.value().payload_len > 0) {
-    WSQ_RETURN_IF_ERROR(
-        ReadExact(stream, frame.payload.data(), frame.payload.size()));
-    if (checked) {
-      crc = Crc32cExtend(crc, frame.payload.data(), frame.payload.size());
-    }
-  }
-  if (checked) {
-    char trailer[kFrameCrcBytes];
-    WSQ_RETURN_IF_ERROR(ReadExact(stream, trailer, sizeof(trailer)));
-    if (GetU32(trailer) != crc) {
-      CrcFailuresCounter().Increment();
-      return Status::Unavailable(std::string(kChecksumMismatchMessage));
-    }
-    frame.has_crc = true;
-  }
-  FramesReadCounter().Increment();
-  return frame;
+Status WriteFrame(ByteStream& stream, const Frame& frame) {
+  std::string wire;
+  WSQ_RETURN_IF_ERROR(EncodeFrame(frame, &wire));
+  WSQ_RETURN_IF_ERROR(WriteAll(stream, wire.data(), wire.size()));
+  FramesWrittenCounter().Increment();
+  return Status::Ok();
 }
 
 Status AppendFrameBytes(const Frame& frame, std::string* out) {
-  if (frame.payload.size() > kMaxFramePayloadBytes) {
-    return Status::InvalidArgument(
-        "refusing to send a " + std::to_string(frame.payload.size()) +
-        "-byte frame payload (limit " +
-        std::to_string(kMaxFramePayloadBytes) + ")");
-  }
-  if (frame.span_block.size() > kMaxRemoteSpanBytes) {
-    return Status::InvalidArgument(
-        "refusing to send a " + std::to_string(frame.span_block.size()) +
-        "-byte span block (limit " + std::to_string(kMaxRemoteSpanBytes) +
-        ")");
-  }
-  const size_t start = out->size();
-  char raw[kFrameHeaderBytes];
-  EncodeFrameHeader(frame, raw);
-  out->append(raw, sizeof(raw));
-  if (frame.has_trace) {
-    char ext[kTraceContextBytes];
-    EncodeTraceContext(frame.trace, ext);
-    out->append(ext, sizeof(ext));
-    if (!frame.span_block.empty()) {
-      char len_raw[4];
-      PutU32(len_raw, static_cast<uint32_t>(frame.span_block.size()));
-      out->append(len_raw, sizeof(len_raw));
-      out->append(frame.span_block);
-    }
-  }
-  out->append(frame.payload);
-  if (frame.has_crc) {
-    char trailer[kFrameCrcBytes];
-    PutU32(trailer, Crc32c(out->data() + start, out->size() - start));
-    out->append(trailer, sizeof(trailer));
-  }
+  WSQ_RETURN_IF_ERROR(EncodeFrame(frame, out));
   FramesWrittenCounter().Increment();
   return Status::Ok();
 }
 
 void FrameParser::BeginFrame() {
-  phase_ = Phase::kHeader;
-  need_ = kFrameHeaderBytes;
+  EnterPhase(Phase::kHeader, kFrameHeaderBytes);
   frame_ = Frame();
+  complete_ = false;
   flags_ = 0;
   payload_len_ = 0;
   crc_ = 0;
 }
 
-Status FrameParser::Step(const char* bytes, std::vector<Frame>* out) {
-  // `bytes` is exactly need_ bytes of the current phase. Transitions
-  // follow the wire order: header, trace context, span length, span
-  // block, payload, crc trailer — skipping the extensions the flags do
-  // not announce.
-  const auto emit = [this, out] {
-    FramesReadCounter().Increment();
-    out->push_back(std::move(frame_));
-    BeginFrame();
-  };
-  const auto finish_body = [this, &emit] {
+void FrameParser::EnterPhase(Phase phase, size_t need) {
+  phase_ = phase;
+  need_ = need;
+  filled_ = 0;
+  if (std::string* blob = Blob()) blob->reserve(need);
+}
+
+std::string* FrameParser::Blob() {
+  switch (phase_) {
+    case Phase::kSpanBlock:
+      return &frame_.span_block;
+    case Phase::kPayload:
+      return &frame_.payload;
+    default:
+      return nullptr;
+  }
+}
+
+char* FrameParser::dest() {
+  std::string* blob = Blob();
+  if (blob == nullptr) return fixed_ + filled_;
+  blob->resize(need_);
+  return blob->data() + filled_;
+}
+
+Result<bool> FrameParser::Advance(size_t n) {
+  if (!error_.ok()) return error_;
+  filled_ += n;
+  if (filled_ < need_) return false;
+  Status status = Step();
+  if (!status.ok()) {
+    error_ = status;
+    return error_;
+  }
+  return complete_;
+}
+
+Frame FrameParser::Take() {
+  FramesReadCounter().Increment();
+  Frame frame = std::move(frame_);
+  BeginFrame();
+  return frame;
+}
+
+Status FrameParser::Step() {
+  // The completed phase's need_ bytes sit in fixed_ or the blob.
+  // Transitions follow the wire order: header, trace context, span
+  // length, span block, payload, crc trailer — skipping the extensions
+  // the flags do not announce.
+  const std::string* blob = Blob();
+  const char* bytes = blob != nullptr ? blob->data() : fixed_;
+  const auto finish_body = [this] {
     if ((flags_ & kFrameFlagCrc) != 0) {
-      phase_ = Phase::kCrcTrailer;
-      need_ = kFrameCrcBytes;
-      return;
+      EnterPhase(Phase::kCrcTrailer, kFrameCrcBytes);
+    } else {
+      complete_ = true;
     }
-    emit();
   };
   const auto enter_payload = [this, &finish_body] {
     if (payload_len_ > 0) {
-      phase_ = Phase::kPayload;
-      need_ = payload_len_;
-      frame_.payload.reserve(payload_len_);
-      return;
+      EnterPhase(Phase::kPayload, payload_len_);
+    } else {
+      finish_body();
     }
-    finish_body();
   };
   // Every body phase of a checksummed frame feeds the running CRC
   // before being interpreted (the header feeds it below, once the flag
@@ -334,8 +340,7 @@ Status FrameParser::Step(const char* bytes, std::vector<Frame>* out) {
         crc_ = Crc32cExtend(0, bytes, kFrameHeaderBytes);
       }
       if ((flags_ & kFrameFlagTraceContext) != 0) {
-        phase_ = Phase::kTraceContext;
-        need_ = kTraceContextBytes;
+        EnterPhase(Phase::kTraceContext, kTraceContextBytes);
       } else {
         enter_payload();
       }
@@ -345,8 +350,7 @@ Status FrameParser::Step(const char* bytes, std::vector<Frame>* out) {
       frame_.has_trace = true;
       frame_.trace = DecodeTraceContext(bytes);
       if ((flags_ & kFrameFlagServerSpans) != 0) {
-        phase_ = Phase::kSpanLength;
-        need_ = 4;
+        EnterPhase(Phase::kSpanLength, 4);
       } else {
         enter_payload();
       }
@@ -361,31 +365,25 @@ Status FrameParser::Step(const char* bytes, std::vector<Frame>* out) {
             "-byte limit");
       }
       if (span_len > 0) {
-        phase_ = Phase::kSpanBlock;
-        need_ = span_len;
-        frame_.span_block.reserve(span_len);
+        EnterPhase(Phase::kSpanBlock, span_len);
       } else {
         enter_payload();
       }
       return Status::Ok();
     }
-    case Phase::kSpanBlock: {
-      frame_.span_block.assign(bytes, need_);
+    case Phase::kSpanBlock:
       enter_payload();
       return Status::Ok();
-    }
-    case Phase::kPayload: {
-      frame_.payload.assign(bytes, need_);
+    case Phase::kPayload:
       finish_body();
       return Status::Ok();
-    }
     case Phase::kCrcTrailer: {
       if (GetU32(bytes) != crc_) {
         CrcFailuresCounter().Increment();
         return Status::Unavailable(std::string(kChecksumMismatchMessage));
       }
       frame_.has_crc = true;
-      emit();
+      complete_ = true;
       return Status::Ok();
     }
   }
@@ -395,88 +393,22 @@ Status FrameParser::Step(const char* bytes, std::vector<Frame>* out) {
 Status FrameParser::Consume(const char* data, size_t len,
                             std::vector<Frame>* out) {
   if (!error_.ok()) return error_;
-  size_t cursor = 0;
-  // Fast path: when the buffer is empty, phases are completed straight
-  // out of the caller's batch without copying into buffer_ first — on
-  // the hot path (whole small frames per recv) nothing is ever staged.
-  for (;;) {
-    if (buffer_.empty() && len - cursor >= need_) {
-      const size_t step = need_;
-      Status status = Step(data + cursor, out);
-      if (!status.ok()) {
-        error_ = status;
-        return error_;
-      }
-      cursor += step;
-      continue;
+  while (len > 0) {
+    const size_t take = std::min(need(), len);
+    std::string* blob = Blob();
+    if (blob != nullptr && blob->size() == filled_) {
+      // Grow the blob by appending: sizing it through dest() first would
+      // zero-fill every payload just before the copy overwrites it.
+      blob->append(data, take);
+    } else {
+      std::memcpy(dest(), data, take);
     }
-    if (cursor >= len) break;
-    const size_t take = std::min(need_ - buffer_.size(), len - cursor);
-    buffer_.append(data + cursor, take);
-    cursor += take;
-    if (buffer_.size() < need_) break;
-    std::string staged = std::move(buffer_);
-    buffer_.clear();
-    Status status = Step(staged.data(), out);
-    if (!status.ok()) {
-      error_ = status;
-      return error_;
-    }
+    data += take;
+    len -= take;
+    Result<bool> done = Advance(take);
+    if (!done.ok()) return done.status();
+    if (done.value()) out->push_back(Take());
   }
-  return Status::Ok();
-}
-
-Status WriteFrame(ByteStream& stream, const Frame& frame) {
-  if (frame.payload.size() > kMaxFramePayloadBytes) {
-    return Status::InvalidArgument(
-        "refusing to send a " + std::to_string(frame.payload.size()) +
-        "-byte frame payload (limit " +
-        std::to_string(kMaxFramePayloadBytes) + ")");
-  }
-  if (frame.span_block.size() > kMaxRemoteSpanBytes) {
-    return Status::InvalidArgument(
-        "refusing to send a " + std::to_string(frame.span_block.size()) +
-        "-byte span block (limit " + std::to_string(kMaxRemoteSpanBytes) +
-        ")");
-  }
-  // The CRC accumulates piece by piece as the scattered writes go out —
-  // no staging copy of the payload just to checksum it.
-  uint32_t crc = 0;
-  char raw[kFrameHeaderBytes];
-  EncodeFrameHeader(frame, raw);
-  WSQ_RETURN_IF_ERROR(WriteAll(stream, raw, sizeof(raw)));
-  if (frame.has_crc) crc = Crc32cExtend(crc, raw, sizeof(raw));
-  if (frame.has_trace) {
-    char ext[kTraceContextBytes];
-    EncodeTraceContext(frame.trace, ext);
-    WSQ_RETURN_IF_ERROR(WriteAll(stream, ext, sizeof(ext)));
-    if (frame.has_crc) crc = Crc32cExtend(crc, ext, sizeof(ext));
-    if (!frame.span_block.empty()) {
-      char len_raw[4];
-      PutU32(len_raw, static_cast<uint32_t>(frame.span_block.size()));
-      WSQ_RETURN_IF_ERROR(WriteAll(stream, len_raw, sizeof(len_raw)));
-      WSQ_RETURN_IF_ERROR(WriteAll(stream, frame.span_block.data(),
-                                   frame.span_block.size()));
-      if (frame.has_crc) {
-        crc = Crc32cExtend(crc, len_raw, sizeof(len_raw));
-        crc = Crc32cExtend(crc, frame.span_block.data(),
-                           frame.span_block.size());
-      }
-    }
-  }
-  if (!frame.payload.empty()) {
-    WSQ_RETURN_IF_ERROR(
-        WriteAll(stream, frame.payload.data(), frame.payload.size()));
-    if (frame.has_crc) {
-      crc = Crc32cExtend(crc, frame.payload.data(), frame.payload.size());
-    }
-  }
-  if (frame.has_crc) {
-    char trailer[kFrameCrcBytes];
-    PutU32(trailer, crc);
-    WSQ_RETURN_IF_ERROR(WriteAll(stream, trailer, sizeof(trailer)));
-  }
-  FramesWrittenCounter().Increment();
   return Status::Ok();
 }
 

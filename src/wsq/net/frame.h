@@ -1,6 +1,7 @@
 #ifndef WSQ_NET_FRAME_H_
 #define WSQ_NET_FRAME_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -51,7 +52,9 @@ bool IsCleanClose(const Status& status);
 /// frame answered by one response frame, strictly in order. A client
 /// may open the connection with one optional Hello/HelloAck exchange to
 /// negotiate the block codec; a client that skips it (every pre-codec
-/// peer) simply speaks SOAP, as always.
+/// peer) simply speaks SOAP, as always. Types are numbered contiguously:
+/// DecodeFrameHeader accepts exactly kRequest..kGoaway, so a new type
+/// goes at the end.
 enum class FrameType : uint8_t {
   kRequest = 1,
   kResponse = 2,
@@ -177,47 +180,64 @@ struct FrameHeader {
 /// the connection is unsalvageable after any of them (framing is lost).
 Result<FrameHeader> DecodeFrameHeader(const char in[kFrameHeaderBytes]);
 
-/// Reads one complete frame: header (validated), any negotiated
-/// extensions (trace context, span block — length-capped before
-/// allocation), then payload, handling partial reads. kUnavailable when
-/// the peer closed the connection (cleanly between frames or
-/// mid-frame); kInvalidArgument on garbage, oversized headers, a span
-/// block past kMaxRemoteSpanBytes, or a span flag without a trace flag.
+/// Reads one complete frame: the blocking driver of FrameParser. Each
+/// ReadSome call asks for exactly the bytes the parser's current phase
+/// still needs, so the header, extension and CRC rules are the parser's
+/// and the read never reaches past the end of the returned frame (a
+/// kPing or kGoaway queued behind a response stays in the socket).
+/// kUnavailable when the peer closed the connection (cleanly between
+/// frames or mid-frame); kInvalidArgument on garbage, oversized headers,
+/// a span block past kMaxRemoteSpanBytes, or a span flag without a trace
+/// flag.
 Result<Frame> ReadFrame(ByteStream& stream);
 
-/// Writes one complete frame, handling short writes. Refuses payloads
-/// beyond kMaxFramePayloadBytes (kInvalidArgument) — the guard is
-/// enforced symmetrically so a well-behaved peer can never emit a frame
-/// the other side must reject.
+/// Writes one complete frame: AppendFrameBytes into a local buffer, then
+/// a single WriteAll. Refuses payloads beyond kMaxFramePayloadBytes
+/// (kInvalidArgument) — the guard is enforced symmetrically so a
+/// well-behaved peer can never emit a frame the other side must reject.
+/// Counted in wsq.net.frames_written only once every byte is out.
 Status WriteFrame(ByteStream& stream, const Frame& frame);
 
 /// Serializes one complete frame (header, negotiated extensions,
-/// payload) and appends the bytes to `out` — the buffered-write half of
-/// the readiness-based path, where frames are queued into a
-/// per-connection write buffer instead of written to a blocking stream.
-/// Same oversize guards as WriteFrame; on error `out` is untouched.
+/// payload, CRC trailer) and appends the bytes to `out` — the only frame
+/// encoder; the readiness-based path queues its output straight into a
+/// per-connection write buffer with it. Refuses oversized payloads and
+/// span blocks; on error `out` is untouched.
 Status AppendFrameBytes(const Frame& frame, std::string* out);
 
-/// Incremental frame decoder for readiness-based (non-blocking) I/O:
-/// feed it whatever bytes recv() produced and it advances a
-/// header → trace-context → span-block → payload state machine,
-/// emitting every frame completed so far. The phase the parser is in
-/// *is* the connection's read state, so a single event-loop thread can
+/// The frame decoder: a header → trace-context → span-block → payload
+/// → CRC-trailer state machine. The phase the parser is in *is* the
+/// connection's read state, so a single event-loop thread can
 /// interleave thousands of connections each mid-frame.
 ///
-/// Validation is identical to ReadFrame (same DecodeFrameHeader, same
-/// span-length cap); any protocol error poisons the parser — framing is
-/// unrecoverable after garbage, so every later Consume returns the same
-/// error and the connection must be dropped.
+/// Two drivers feed it. Consume takes whatever bytes recv() produced;
+/// ReadFrame fills the current phase straight from a blocking stream
+/// through dest()/need()/Advance(). Payload bytes are copied into
+/// Frame::payload exactly once on both paths. Any protocol error poisons
+/// the parser — framing is unrecoverable after garbage, so every later
+/// call returns the same error and the connection must be dropped.
 class FrameParser {
  public:
   /// Consumes `len` bytes, appending each completed frame to `out` (one
   /// read batch can complete several pipelined frames). Frames are
-  /// counted in wsq.net.frames_read exactly like ReadFrame's.
+  /// counted in wsq.net.frames_read.
   Status Consume(const char* data, size_t len, std::vector<Frame>* out);
 
-  /// Bytes buffered toward the frame in progress (0 between frames).
-  size_t buffered_bytes() const { return buffer_.size(); }
+  /// Where the next need() bytes of the current phase go. need() never
+  /// reaches past the phase, hence never past the frame.
+  char* dest();
+  size_t need() const { return need_ - filled_; }
+
+  /// Accounts `n` <= need() bytes just written at dest(), finishing the
+  /// phase once it is full. True when that completed a frame, which
+  /// Take() then hands out.
+  Result<bool> Advance(size_t n);
+
+  /// Hands out the frame Advance just completed and starts the next.
+  Frame Take();
+
+  /// Bytes buffered toward the phase in progress (0 between frames).
+  size_t buffered_bytes() const { return filled_; }
 
   /// True once a protocol error poisoned the parser.
   bool failed() const { return !error_.ok(); }
@@ -232,16 +252,24 @@ class FrameParser {
     kCrcTrailer,
   };
 
-  /// Finishes the current phase from buffer_[cursor..], transitioning
-  /// phase_/need_ and emitting the frame when the payload completes.
-  Status Step(const char* bytes, std::vector<Frame>* out);
+  /// Interprets the completed phase and enters the next one the flags
+  /// announce; sets complete_ after the last.
+  Status Step();
+
+  void EnterPhase(Phase phase, size_t need);
+
+  /// The string the current phase lands in (span block, payload), or
+  /// nullptr for the fixed-size phases, which land in fixed_.
+  std::string* Blob();
 
   void BeginFrame();
 
   Phase phase_ = Phase::kHeader;
   size_t need_ = kFrameHeaderBytes;
-  std::string buffer_;
+  size_t filled_ = 0;
+  char fixed_[std::max(kFrameHeaderBytes, kTraceContextBytes)] = {};
   Frame frame_;
+  bool complete_ = false;
   uint8_t flags_ = 0;
   uint32_t payload_len_ = 0;
   /// Running CRC-32C over every wire byte of the frame in progress

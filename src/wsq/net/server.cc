@@ -62,8 +62,7 @@ WsqServer::~WsqServer() { Stop(); }
 Status WsqServer::Start() {
   if (running_.load()) return Status::Ok();
   Result<Socket> listener =
-      TcpListen(pinned_port_ != 0 ? pinned_port_ : options_.port,
-                /*backlog=*/1024);
+      TcpListen(pinned_port_ != 0 ? pinned_port_ : options_.port);
   if (!listener.ok()) return listener.status();
   listener_ = std::move(listener).value();
   Result<int> port = LocalPort(listener_);

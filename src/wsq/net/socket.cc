@@ -223,7 +223,7 @@ Result<Socket> TcpConnect(const std::string& host, int port,
   return last;
 }
 
-Result<Socket> TcpListen(int port, int backlog) {
+Result<Socket> TcpListen(int port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Status::Internal(Errno("socket"));
   int one = 1;
@@ -241,7 +241,7 @@ Result<Socket> TcpListen(int port, int backlog) {
     ::close(fd);
     return st;
   }
-  if (::listen(fd, backlog) < 0) {
+  if (::listen(fd, SOMAXCONN) < 0) {
     const Status st = Status::Internal(Errno("listen"));
     ::close(fd);
     return st;

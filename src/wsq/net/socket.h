@@ -66,8 +66,10 @@ Result<Socket> TcpConnect(const std::string& host, int port,
                           double timeout_ms);
 
 /// Binds (SO_REUSEADDR) and listens on `port`; 0 picks an ephemeral
-/// port — read it back with LocalPort.
-Result<Socket> TcpListen(int port, int backlog = 64);
+/// port — read it back with LocalPort. The accept queue is as deep as
+/// the kernel allows (SOMAXCONN, clamped to net.core.somaxconn), so a
+/// connection storm waits in the queue instead of being dropped.
+Result<Socket> TcpListen(int port);
 
 /// The locally bound port of a listening or connected socket.
 Result<int> LocalPort(const Socket& socket);

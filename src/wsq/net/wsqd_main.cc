@@ -17,11 +17,10 @@
 #include <cstdint>
 #include <ctime>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "wsq/codec/codec.h"
+#include "wsq/common/flags.h"
 #include "wsq/fault/fault_plan.h"
 #include "wsq/net/server.h"
 #include "wsq/relation/tpch_gen.h"
@@ -40,35 +39,26 @@ void HandleSignal(int) { g_stop = 1; }
 void HandleDrainSignal(int) { g_drain = 1; }
 void HandleStatsSignal(int) { g_dump_stats = 1; }
 
+/// The daemon's settings, at their defaults; main's FlagTable documents
+/// each one.
 struct WsqdFlags {
   int port = 9090;
   double scale = 0.05;
-  uint64_t seed = 7;
+  int64_t seed = 7;
   std::string profile = "unloaded";
   std::string fault_plan = "none";
   std::string codec = "binary";
   int worker_threads = 8;
-  bool simulate_service_time = true;
-  /// Also write the bound port here after startup (ephemeral-port
-  /// consumers that cannot scrape stdout).
+  bool no_service_sleep = false;
   std::string port_file;
-  /// Live telemetry: write the server's stats JSON snapshot here every
-  /// stats_interval_s seconds (0 = only on SIGUSR1 and at shutdown).
   std::string stats_out;
   int stats_interval_s = 0;
-  /// Admission control (0 = off for each knob).
   int max_connections = 0;
   double rate_limit = 0.0;
   double rate_limit_burst = 0.0;
   int shed_watermark = 0;
-  /// SIGTERM drain budget: in-flight work gets this long to finish
-  /// before the server stops hard.
   double drain_timeout_s = 10.0;
-  /// Half-open detection: evict connections idle this long (live peers
-  /// get a ping at half of it first). 0 = off.
   double idle_timeout_s = 0.0;
-  /// Evict DataService sessions (and their fault/stats state) untouched
-  /// this long. 0 = off.
   double session_ttl_s = 0.0;
 };
 
@@ -88,64 +78,6 @@ void WriteStatsSnapshot(wsq::net::WsqServer& server, const std::string& path) {
     std::fprintf(stderr, "wsqd: cannot rename %s -> %s\n", tmp.c_str(),
                  path.c_str());
   }
-}
-
-void PrintUsage() {
-  std::fprintf(
-      stderr,
-      "usage: wsqd [--port=N] [--scale=F] [--seed=N] [--profile=NAME]\n"
-      "            [--fault-plan=NAME] [--codec=NAME] [--workers=N]\n"
-      "            [--no-service-sleep] [--port-file=PATH]\n"
-      "            [--stats-out=PATH] [--stats-interval-s=N]\n"
-      "            [--max-connections=N] [--rate-limit=F]\n"
-      "            [--rate-limit-burst=F] [--shed-watermark=N]\n"
-      "            [--drain-timeout-s=F] [--idle-timeout-s=F]\n"
-      "            [--session-ttl-s=F]\n"
-      "\n"
-      "  --port=N           TCP port to listen on; 0 = ephemeral (default "
-      "9090)\n"
-      "  --port-file=PATH   also write the bound port to PATH once "
-      "listening\n"
-      "  --stats-out=PATH   write the live stats JSON snapshot to PATH on "
-      "SIGUSR1,\n"
-      "                     every --stats-interval-s seconds, and at "
-      "shutdown\n"
-      "  --stats-interval-s=N periodic stats snapshot interval (default 0 = "
-      "off)\n"
-      "  --scale=F          TPC-H scale factor for the hosted Customer/Orders "
-      "tables (default 0.05)\n"
-      "  --seed=N           data + load-noise seed (default 7)\n"
-      "  --profile=NAME     server load profile: unloaded | loaded | memory "
-      "(paper conf1.1/1.2/1.3)\n"
-      "  --fault-plan=NAME  server-side chaos preset (none | burst | latency "
-      "| stall | flaky | outage | resets)\n"
-      "  --codec=NAME       richest block codec offered in negotiation: soap "
-      "| binary | binary+lz (default binary; clients that don't ask still "
-      "get SOAP)\n"
-      "  --workers=N        dispatch worker threads (default 8)\n"
-      "  --no-service-sleep serve at raw dispatch speed instead of sleeping "
-      "the modeled service time\n"
-      "  --max-connections=N  reject connections beyond N with a retryable "
-      "fault (default 0 = unlimited)\n"
-      "  --rate-limit=F     per-client-IP new-connection rate per second "
-      "(token bucket; default 0 = unlimited)\n"
-      "  --rate-limit-burst=F  token-bucket burst capacity (default "
-      "max(1, rate))\n"
-      "  --shed-watermark=N shed requests with a retryable fault while N "
-      "dispatches are queued or running (default 0 = never)\n"
-      "  --drain-timeout-s=F  SIGTERM grace: finish in-flight work within F "
-      "seconds before stopping hard (default 10)\n"
-      "  --idle-timeout-s=F evict connections idle for F seconds; live peers "
-      "are pinged at F/2 first (default 0 = never)\n"
-      "  --session-ttl-s=F  evict sessions (cursor, replay cache, stats) "
-      "untouched for F seconds (default 0 = never)\n");
-}
-
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
 }
 
 /// The paper's server-side configurations as LoadModelConfig presets:
@@ -176,53 +108,40 @@ bool LoadProfileByName(const std::string& name, wsq::LoadModelConfig* out) {
 
 int main(int argc, char** argv) {
   WsqdFlags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (ParseFlag(argv[i], "--port", &value)) {
-      flags.port = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--scale", &value)) {
-      flags.scale = std::atof(value.c_str());
-    } else if (ParseFlag(argv[i], "--seed", &value)) {
-      flags.seed = static_cast<uint64_t>(std::atoll(value.c_str()));
-    } else if (ParseFlag(argv[i], "--profile", &value)) {
-      flags.profile = value;
-    } else if (ParseFlag(argv[i], "--fault-plan", &value)) {
-      flags.fault_plan = value;
-    } else if (ParseFlag(argv[i], "--codec", &value)) {
-      flags.codec = value;
-    } else if (ParseFlag(argv[i], "--workers", &value)) {
-      flags.worker_threads = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--port-file", &value)) {
-      flags.port_file = value;
-    } else if (ParseFlag(argv[i], "--stats-out", &value)) {
-      flags.stats_out = value;
-    } else if (ParseFlag(argv[i], "--stats-interval-s", &value)) {
-      flags.stats_interval_s = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--max-connections", &value)) {
-      flags.max_connections = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--rate-limit", &value)) {
-      flags.rate_limit = std::atof(value.c_str());
-    } else if (ParseFlag(argv[i], "--rate-limit-burst", &value)) {
-      flags.rate_limit_burst = std::atof(value.c_str());
-    } else if (ParseFlag(argv[i], "--shed-watermark", &value)) {
-      flags.shed_watermark = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--drain-timeout-s", &value)) {
-      flags.drain_timeout_s = std::atof(value.c_str());
-    } else if (ParseFlag(argv[i], "--idle-timeout-s", &value)) {
-      flags.idle_timeout_s = std::atof(value.c_str());
-    } else if (ParseFlag(argv[i], "--session-ttl-s", &value)) {
-      flags.session_ttl_s = std::atof(value.c_str());
-    } else if (std::strcmp(argv[i], "--no-service-sleep") == 0) {
-      flags.simulate_service_time = false;
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      PrintUsage();
-      return 0;
-    } else {
-      std::fprintf(stderr, "wsqd: unknown flag %s\n", argv[i]);
-      PrintUsage();
-      return 2;
-    }
-  }
+  wsq::FlagTable table;
+  table.Add("port", &flags.port, "TCP port to listen on; 0 = ephemeral")
+      .Add("port-file", &flags.port_file, "also write the bound port here")
+      .Add("scale", &flags.scale, "TPC-H scale of the Customer/Orders tables")
+      .Add("seed", &flags.seed, "data + load-noise seed")
+      .Add("profile", &flags.profile,
+           "server load: unloaded | loaded | memory (conf1.1/1.2/1.3)")
+      .Add("fault-plan", &flags.fault_plan,
+           "server-side chaos preset: none | burst | latency | stall | "
+           "flaky | outage | resets")
+      .Add("codec", &flags.codec,
+           "richest codec offered: soap | binary | binary+lz")
+      .Add("workers", &flags.worker_threads, "dispatch worker threads")
+      .Add("no-service-sleep", &flags.no_service_sleep,
+           "serve at raw dispatch speed, no modeled service-time sleep")
+      .Add("stats-out", &flags.stats_out,
+           "write the stats JSON here on SIGUSR1, periodically, at exit")
+      .Add("stats-interval-s", &flags.stats_interval_s,
+           "periodic stats snapshot interval; 0 = off")
+      .Add("max-connections", &flags.max_connections,
+           "reject connections beyond N (retryable); 0 = unlimited")
+      .Add("rate-limit", &flags.rate_limit,
+           "per-client-IP new connections per second; 0 = unlimited")
+      .Add("rate-limit-burst", &flags.rate_limit_burst,
+           "token-bucket burst; 0 = max(1, rate)")
+      .Add("shed-watermark", &flags.shed_watermark,
+           "shed requests (retryable) at N queued dispatches; 0 = never")
+      .Add("drain-timeout-s", &flags.drain_timeout_s,
+           "SIGTERM grace for in-flight work before a hard stop")
+      .Add("idle-timeout-s", &flags.idle_timeout_s,
+           "evict connections idle F seconds (ping at F/2); 0 = never")
+      .Add("session-ttl-s", &flags.session_ttl_s,
+           "evict sessions untouched F seconds; 0 = never");
+  wsq::ParseFlagsOrExit(table, argc, argv);
 
   wsq::LoadModelConfig load;
   if (!LoadProfileByName(flags.profile, &load)) {
@@ -245,7 +164,7 @@ int main(int argc, char** argv) {
 
   wsq::TpchGenOptions gen;
   gen.scale = flags.scale;
-  gen.seed = flags.seed;
+  gen.seed = static_cast<uint64_t>(flags.seed);
   wsq::Result<std::shared_ptr<wsq::Table>> customer =
       wsq::GenerateCustomer(gen);
   wsq::Result<std::shared_ptr<wsq::Table>> orders = wsq::GenerateOrders(gen);
@@ -261,14 +180,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   wsq::DataService service(&dbms);
-  wsq::ServiceContainer container(&service, load, flags.seed);
+  wsq::ServiceContainer container(&service, load,
+                                  static_cast<uint64_t>(flags.seed));
 
   wsq::net::WsqServerOptions server_options;
   server_options.port = flags.port;
   server_options.worker_threads = flags.worker_threads;
   server_options.fault_plan = std::move(plan).value();
-  server_options.fault_seed = flags.seed;
-  server_options.simulate_service_time = flags.simulate_service_time;
+  server_options.fault_seed = static_cast<uint64_t>(flags.seed);
+  server_options.simulate_service_time = !flags.no_service_sleep;
   server_options.codec = codec.value();
   server_options.admission.max_connections = flags.max_connections;
   server_options.admission.rate_limit_per_sec = flags.rate_limit;

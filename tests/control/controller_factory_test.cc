@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "wsq/backend/experiment.h"
+#include "wsq/sim/profile.h"
+
 namespace wsq {
 namespace {
 
@@ -107,6 +110,20 @@ TEST(ControllerFactoryTest, CreatedControllersAreUsable) {
     controller.value()->Reset();
     EXPECT_EQ(controller.value()->adaptivity_steps(), 0) << name;
   }
+}
+
+TEST(ControllerFactoryFnTest, InvalidConfigSurfacesAsInvalidArgument) {
+  // The factory closures construct through the validated Make*: a bad
+  // size yields nullptr, which the repeated-run harness reports, rather
+  // than a controller that silently clamps it.
+  EXPECT_EQ(FixedFactory(0)(), nullptr);
+  ParametricProfile::Params params;
+  params.dataset_tuples = 5000;
+  ParametricProfile profile(params);
+  Result<RepeatedRunSummary> summary =
+      RunRepeated(FixedFactory(0), profile, 2, SimOptions());
+  ASSERT_FALSE(summary.ok());
+  EXPECT_EQ(summary.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 
 #include "wsq/control/controller_factory.h"
 #include "wsq/control/fixed_controller.h"
-#include "wsq/sim/experiment.h"
+#include "wsq/backend/experiment.h"
 #include "wsq/sim/ground_truth.h"
 #include "wsq/sim/profile.h"
 

@@ -7,7 +7,7 @@
 #include <memory>
 #include <utility>
 
-#include "wsq/control/factories.h"
+#include "wsq/control/controller_factory.h"
 #include "wsq/control/fixed_controller.h"
 
 namespace wsq {

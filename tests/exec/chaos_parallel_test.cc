@@ -17,7 +17,7 @@
 #include "wsq/backend/empirical_backend.h"
 #include "wsq/backend/eventsim_backend.h"
 #include "wsq/backend/profile_backend.h"
-#include "wsq/control/factories.h"
+#include "wsq/control/controller_factory.h"
 #include "wsq/fault/fault_plan.h"
 #include "wsq/netsim/presets.h"
 #include "wsq/relation/tpch_gen.h"

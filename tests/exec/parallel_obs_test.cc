@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "wsq/backend/profile_backend.h"
-#include "wsq/control/factories.h"
+#include "wsq/control/controller_factory.h"
 #include "wsq/exec/parallel_runner.h"
 #include "wsq/exec/thread_pool.h"
 #include "wsq/obs/metrics.h"

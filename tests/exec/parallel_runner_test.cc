@@ -18,7 +18,7 @@
 #include "wsq/backend/eventsim_backend.h"
 #include "wsq/backend/experiment.h"
 #include "wsq/backend/profile_backend.h"
-#include "wsq/control/factories.h"
+#include "wsq/control/controller_factory.h"
 #include "wsq/exec/exec_context.h"
 #include "wsq/netsim/presets.h"
 #include "wsq/relation/tpch_gen.h"

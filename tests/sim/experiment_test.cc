@@ -1,4 +1,4 @@
-#include "wsq/sim/experiment.h"
+#include "wsq/backend/experiment.h"
 
 #include <gtest/gtest.h>
 
