@@ -1,11 +1,13 @@
 #include "wsq/client/block_fetcher.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "wsq/codec/binary_codec.h"
 #include "wsq/codec/soap_codec.h"
 #include "wsq/fault/exchange_player.h"
+#include "wsq/net/socket.h"
 #include "wsq/relation/tuple_serializer.h"
 #include "wsq/soap/envelope.h"
 #include "wsq/soap/message.h"
@@ -25,6 +27,46 @@ Result<codec::DecodedBlock> DecodeBlockPayload(std::string payload) {
   }
   return kSoapCodec.DecodeBlockResponse(std::move(payload));
 }
+
+/// Rows a materialization slice appends — the most a pending block can
+/// delay a socket read that became ready mid-slice (tens of
+/// microseconds on the 8-column customer schema).
+constexpr size_t kMaterializeSliceRows = 256;
+
+/// A binary block's rows still owed to keep_tuples. They are appended a
+/// slice at a time while the next exchange waits on its socket (see
+/// net::ScopedIdleWork), and whatever is left right after that exchange
+/// returns — before the next block is decoded, so keep_tuples receives
+/// every row in wire order.
+class PendingRows {
+ public:
+  bool empty() const { return next_ == rows_.num_rows(); }
+
+  void Reset(codec::WireRows rows) {
+    rows_ = std::move(rows);
+    next_ = 0;
+  }
+
+  /// Appends the next slice; false once no rows remain.
+  bool Slice(std::vector<Tuple>* out) {
+    const size_t end =
+        std::min(next_ + kMaterializeSliceRows, rows_.num_rows());
+    rows_.AppendRows(next_, end, out);
+    next_ = end;
+    return !empty();
+  }
+
+  /// Appends every remaining row and releases the block's buffer.
+  void Finish(std::vector<Tuple>* out) {
+    if (empty()) return;
+    rows_.AppendRows(next_, rows_.num_rows(), out);
+    Reset(codec::WireRows());
+  }
+
+ private:
+  codec::WireRows rows_;
+  size_t next_ = 0;
+};
 
 /// splitmix64 finalizer — a well-mixed 64-bit trace id out of whatever
 /// entropy the caller has (clock micros, object address). Never 0 (0
@@ -168,6 +210,23 @@ Result<FetchOutcome> BlockFetcher::Run(const ScanProjectQuery& query,
 
   int64_t block_size = controller_->initial_block_size();
 
+  // Every exchange after the first block overlaps the previous block's
+  // materialization: its slices run while the call waits on the socket
+  // (a simulated transport never waits, so they all run after it).
+  PendingRows pending;
+  const auto overlapped_call = [&](const std::string& document,
+                                   int64_t block_index, int64_t size) {
+    std::optional<net::ScopedIdleWork> idle;
+    if (!pending.empty()) {
+      idle.emplace([&] { return pending.Slice(keep_tuples); });
+    }
+    Result<CallResult> call =
+        CallWithRetry(document, block_index, size, &outcome);
+    idle.reset();
+    pending.Finish(keep_tuples);
+    return call;
+  };
+
   while (true) {
     const int64_t block_index = outcome.total_blocks;
 
@@ -199,7 +258,7 @@ Result<FetchOutcome> BlockFetcher::Run(const ScanProjectQuery& query,
     const int64_t retries_before = outcome.retries;
     const int64_t t1 = clock->NowMicros();
     Result<CallResult> call =
-        CallWithRetry(document, block_index, block_size, &outcome);
+        overlapped_call(document, block_index, block_size);
     if (!call.ok()) return call.status();
 
     double elapsed_ms = call.value().elapsed_ms;
@@ -234,7 +293,7 @@ Result<FetchOutcome> BlockFetcher::Run(const ScanProjectQuery& query,
     Result<codec::DecodedBlock> decoded =
         DecodeBlockPayload(std::move(call.value().response));
     if (!decoded.ok()) return decoded.status();
-    const codec::DecodedBlock& block = decoded.value();
+    codec::DecodedBlock& block = decoded.value();
 
     if (observer_ != nullptr) {
       // Decompose the successful exchange into wire and server residence
@@ -261,14 +320,18 @@ Result<FetchOutcome> BlockFetcher::Run(const ScanProjectQuery& query,
     outcome.total_blocks += 1;
     outcome.total_time_ms += elapsed_ms;
 
-    // Keep-tuples: text-mode blocks (SOAP) still need the serializer;
-    // binary blocks materialize straight from their column views.
-    if (keep_tuples != nullptr && block.num_tuples > 0 &&
-        (!block.rows.text_mode() || serializer != nullptr)) {
-      Result<std::vector<Tuple>> tuples = block.rows.Materialize(serializer);
-      if (!tuples.ok()) return tuples.status();
-      for (Tuple& tuple : tuples.value()) {
-        keep_tuples->push_back(std::move(tuple));
+    // Keep-tuples: text-mode blocks (SOAP) still need the serializer
+    // and materialize now; binary blocks build straight from their
+    // column views, overlapped with the next exchange.
+    if (keep_tuples != nullptr && block.num_tuples > 0) {
+      if (!block.rows.text_mode()) {
+        pending.Reset(std::move(block.rows));
+      } else if (serializer != nullptr) {
+        Result<std::vector<Tuple>> tuples = block.rows.Materialize(serializer);
+        if (!tuples.ok()) return tuples.status();
+        for (Tuple& tuple : tuples.value()) {
+          keep_tuples->push_back(std::move(tuple));
+        }
       }
     }
 
@@ -307,8 +370,8 @@ Result<FetchOutcome> BlockFetcher::Run(const ScanProjectQuery& query,
   CloseSessionRequest close;
   close.session_id = session_id;
   const int64_t close_started = clock->NowMicros();
-  Result<CallResult> close_call = CallWithRetry(
-      EncodeCloseSession(close), FaultInjector::kSessionCall, 0, &outcome);
+  Result<CallResult> close_call = overlapped_call(
+      EncodeCloseSession(close), FaultInjector::kSessionCall, 0);
   if (!close_call.ok()) return close_call.status();
   if (observer_ != nullptr) {
     observer_->OnSessionClose(close_started,

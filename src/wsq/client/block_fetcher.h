@@ -98,7 +98,9 @@ class BlockFetcher {
   /// Runs the full fetch loop for `query`. When both `serializer` (built
   /// over the projected output schema) and `keep_tuples` are non-null,
   /// every result tuple is deserialized and appended to `keep_tuples`
-  /// (examples want the data; benches only want the trace).
+  /// (examples want the data; benches only want the trace). A binary
+  /// block is materialized in slices while the next exchange waits on
+  /// its socket; rows still arrive in order.
   Result<FetchOutcome> Run(const ScanProjectQuery& query,
                            const class TupleSerializer* serializer = nullptr,
                            std::vector<Tuple>* keep_tuples = nullptr);

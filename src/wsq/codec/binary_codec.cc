@@ -1,7 +1,10 @@
 #include "wsq/codec/binary_codec.h"
 
+#include <bit>
 #include <cstring>
 #include <utility>
+#include <variant>
+#include <vector>
 
 #include "wsq/codec/lz.h"
 #include "wsq/codec/varint.h"
@@ -21,14 +24,6 @@ void PutPrelude(std::string* out, uint8_t kind, uint8_t flags) {
   out->push_back(static_cast<char>(kind));
   out->push_back(static_cast<char>(flags));
   out->push_back(0);  // reserved
-}
-
-void PutDoubleBits(std::string* out, double value) {
-  uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((bits >> (8 * i)) & 0xff));
-  }
 }
 
 /// Parses the prelude and returns the flags byte after validating
@@ -61,42 +56,38 @@ Result<uint8_t> ReadPrelude(ByteCursor* cursor, uint8_t expected_kind) {
   return flags;
 }
 
-/// Upper bound on the encoded body size — an exact pre-pass over the
-/// string columns plus worst-case varint widths, so EncodeBody appends
-/// into pre-reserved storage and never reallocates mid-block.
-size_t BodySizeBound(const Schema& schema, const RowView& rows) {
-  const size_t num_rows = rows.rows.size();
-  const size_t bitmap_bytes = (num_rows + 7) / 8;
-  size_t bound = 10;  // column-count varint
-  for (size_t col = 0; col < schema.num_columns(); ++col) {
-    bound += 1 + bitmap_bytes;
-    switch (schema.column(col).type) {
-      case ColumnType::kInt64:
-        bound += 10 * num_rows;
-        break;
-      case ColumnType::kDouble:
-        bound += 8 * num_rows;
-        break;
-      case ColumnType::kString:
-        bound += 5 * num_rows;
-        for (const Tuple* row : rows.rows) {
-          if (const std::string* v =
-                  std::get_if<std::string>(&row->value(rows.columns[col]))) {
-            bound += v->size();
-          }
-        }
-        break;
-    }
-  }
-  return bound;
-}
-
 Status MismatchedColumn(const Schema& schema, size_t col) {
   return Status::InvalidArgument(
       "binary codec: row value does not match schema column " +
       schema.column(col).name);
 }
 
+/// One body column: where its values come from and where they land.
+struct ColumnPlan {
+  ColumnType type = ColumnType::kInt64;
+  size_t source = 0;        // index into each row
+  size_t length_bytes = 0;  // kString: the varint lengths
+  size_t data_bytes = 0;    // values (kString: the string bytes)
+  char* cursor = nullptr;   // next value (kString: next length)
+  char* bytes_cursor = nullptr;  // kString: next string byte
+};
+
+/// Writes `value`'s IEEE-754 bits little-endian at `p`.
+void WriteDoubleBits(char* p, double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  if constexpr (std::endian::native != std::endian::little) {
+    bits = __builtin_bswap64(bits);
+  }
+  std::memcpy(p, &bits, sizeof(bits));
+}
+
+/// Appends the columnar body in two row-major passes over the rows.
+/// Pass 1 type-checks every value and sizes every column exactly; pass 2
+/// writes each value at its column's cursor in one exact-size buffer.
+/// The bytes are those of the column-by-column layout (see
+/// BinaryCodec), and a mismatch names the lowest-index mismatching
+/// column, as a column-by-column encoder would.
 Status EncodeBody(const Schema& schema, const RowView& rows,
                   std::string* body) {
   const size_t num_cols = schema.num_columns();
@@ -105,40 +96,83 @@ Status EncodeBody(const Schema& schema, const RowView& rows,
         "binary codec: row view has " + std::to_string(rows.columns.size()) +
         " columns, schema has " + std::to_string(num_cols));
   }
-  const size_t bitmap_bytes = (rows.rows.size() + 7) / 8;
-  body->reserve(body->size() + BodySizeBound(schema, rows));
-  PutUVarint(body, num_cols);
+  const size_t num_rows = rows.rows.size();
+  std::vector<ColumnPlan> plan(num_cols);
   for (size_t col = 0; col < num_cols; ++col) {
-    const size_t source = rows.columns[col];
-    const ColumnType type = schema.column(col).type;
-    body->push_back(static_cast<char>(type));
-    body->append(bitmap_bytes, '\0');  // no nulls in the Value model
-    switch (type) {
-      case ColumnType::kInt64:
-        for (const Tuple* row : rows.rows) {
-          const int64_t* v = std::get_if<int64_t>(&row->value(source));
-          if (v == nullptr) return MismatchedColumn(schema, col);
-          PutVarint(body, *v);
+    plan[col].type = schema.column(col).type;
+    plan[col].source = rows.columns[col];
+    if (plan[col].type == ColumnType::kDouble) {
+      plan[col].data_bytes = 8 * num_rows;
+    }
+  }
+
+  size_t mismatched = num_cols;
+  for (const Tuple* row : rows.rows) {
+    for (size_t col = 0; col < num_cols; ++col) {
+      ColumnPlan& c = plan[col];
+      const Value& value = row->value(c.source);
+      bool ok = true;
+      switch (c.type) {
+        case ColumnType::kInt64:
+          if (const int64_t* v = std::get_if<int64_t>(&value)) {
+            c.data_bytes += UVarintSize(ZigZagEncode(*v));
+          } else {
+            ok = false;
+          }
+          break;
+        case ColumnType::kDouble:
+          ok = std::holds_alternative<double>(value);
+          break;
+        case ColumnType::kString:
+          if (const std::string* v = std::get_if<std::string>(&value)) {
+            c.length_bytes += UVarintSize(v->size());
+            c.data_bytes += v->size();
+          } else {
+            ok = false;
+          }
+          break;
+      }
+      if (!ok && col < mismatched) mismatched = col;
+    }
+  }
+  if (mismatched < num_cols) return MismatchedColumn(schema, mismatched);
+
+  const size_t bitmap_bytes = (num_rows + 7) / 8;
+  size_t total = UVarintSize(num_cols);
+  for (const ColumnPlan& c : plan) {
+    total += 1 + bitmap_bytes + c.length_bytes + c.data_bytes;
+  }
+  const size_t start = body->size();
+  body->resize(start + total);  // zero-filled: the null bitmaps stay 0
+  char* p = WriteUVarint(body->data() + start, num_cols);
+  for (ColumnPlan& c : plan) {
+    *p++ = static_cast<char>(c.type);
+    p += bitmap_bytes;
+    c.cursor = p;
+    c.bytes_cursor = p + c.length_bytes;
+    p += c.length_bytes + c.data_bytes;
+  }
+
+  for (const Tuple* row : rows.rows) {
+    for (ColumnPlan& c : plan) {
+      const Value& value = row->value(c.source);
+      switch (c.type) {
+        case ColumnType::kInt64:
+          c.cursor = WriteUVarint(
+              c.cursor, ZigZagEncode(*std::get_if<int64_t>(&value)));
+          break;
+        case ColumnType::kDouble:
+          WriteDoubleBits(c.cursor, *std::get_if<double>(&value));
+          c.cursor += 8;
+          break;
+        case ColumnType::kString: {
+          const std::string& v = *std::get_if<std::string>(&value);
+          c.cursor = WriteUVarint(c.cursor, v.size());
+          std::memcpy(c.bytes_cursor, v.data(), v.size());
+          c.bytes_cursor += v.size();
+          break;
         }
-        break;
-      case ColumnType::kDouble:
-        for (const Tuple* row : rows.rows) {
-          const double* v = std::get_if<double>(&row->value(source));
-          if (v == nullptr) return MismatchedColumn(schema, col);
-          PutDoubleBits(body, *v);
-        }
-        break;
-      case ColumnType::kString:
-        for (const Tuple* row : rows.rows) {
-          const std::string* v =
-              std::get_if<std::string>(&row->value(source));
-          if (v == nullptr) return MismatchedColumn(schema, col);
-          PutUVarint(body, v->size());
-        }
-        for (const Tuple* row : rows.rows) {
-          body->append(std::get<std::string>(row->value(source)));
-        }
-        break;
+      }
     }
   }
   return Status::Ok();

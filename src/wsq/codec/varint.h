@@ -1,6 +1,7 @@
 #ifndef WSQ_CODEC_VARINT_H_
 #define WSQ_CODEC_VARINT_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -33,6 +34,22 @@ inline int64_t ZigZagDecode(uint64_t v) {
 
 inline void PutVarint(std::string* out, int64_t v) {
   PutUVarint(out, ZigZagEncode(v));
+}
+
+/// Bytes PutUVarint emits for `v` (1..10).
+inline size_t UVarintSize(uint64_t v) {
+  return (static_cast<size_t>(std::bit_width(v | 1)) + 6) / 7;
+}
+
+/// PutUVarint into caller-sized storage: writes `v` at `p` and returns
+/// the byte past it. The caller guarantees UVarintSize(v) bytes of room.
+inline char* WriteUVarint(char* p, uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<char>((v & 0x7f) | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<char>(v);
+  return p;
 }
 
 /// Bounds-checked forward reader over a byte span. Every accessor

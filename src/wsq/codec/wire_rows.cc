@@ -36,7 +36,13 @@ Result<std::vector<Tuple>> WireRows::Materialize(
   }
   std::vector<Tuple> out;
   out.reserve(num_rows_);
-  for (size_t row = 0; row < num_rows_; ++row) {
+  AppendRows(0, num_rows_, &out);
+  return out;
+}
+
+void WireRows::AppendRows(size_t begin, size_t end,
+                          std::vector<Tuple>* out) const {
+  for (size_t row = begin; row < end; ++row) {
     std::vector<Value> values;
     values.reserve(columns_.size());
     for (size_t col = 0; col < columns_.size(); ++col) {
@@ -48,13 +54,13 @@ Result<std::vector<Tuple>> WireRows::Materialize(
           values.emplace_back(DoubleAt(row, col));
           break;
         case ColumnType::kString:
-          values.emplace_back(std::string(StringAt(row, col)));
+          values.emplace_back(std::in_place_type<std::string>,
+                              StringAt(row, col));
           break;
       }
     }
-    out.emplace_back(std::move(values));
+    out->emplace_back(std::move(values));
   }
-  return out;
 }
 
 }  // namespace wsq::codec

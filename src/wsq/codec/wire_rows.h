@@ -74,6 +74,11 @@ class WireRows {
   Result<std::vector<Tuple>> Materialize(
       const TupleSerializer* text_serializer) const;
 
+  /// View mode only: appends rows [begin, end) as owned Tuples to `out`,
+  /// built in place. The one row builder — Materialize wraps it, and the
+  /// client uses it to materialize a block a slice at a time.
+  void AppendRows(size_t begin, size_t end, std::vector<Tuple>* out) const;
+
   /// Size of the owned backing buffer (decoded body or text payload).
   size_t buffer_bytes() const { return buffer_.size(); }
 

@@ -216,13 +216,16 @@ Result<FrameHeader> DecodeFrameHeader(const char in[kFrameHeaderBytes]) {
 
 Result<Frame> ReadFrame(ByteStream& stream) {
   FrameParser parser;
+  size_t received = 0;  // bytes of this frame so far, across phases
   for (;;) {
     const size_t want = parser.need();
     Result<size_t> n = stream.ReadSome(parser.dest(), want);
     if (!n.ok()) return n.status();
-    // Like ReadExact per phase: a close before the phase's first byte
-    // is reported as a clean close.
-    if (n.value() == 0) return ClosedAfter(parser.buffered_bytes());
+    // Only a close before the frame's first byte is a clean close; one
+    // at a phase boundary inside the frame (a header with no payload
+    // behind it) is a torn message.
+    if (n.value() == 0) return ClosedAfter(received);
+    received += n.value();
     if (n.value() < want) PartialReadsCounter().Increment();
     Result<bool> done = parser.Advance(n.value());
     if (!done.ok()) return done.status();

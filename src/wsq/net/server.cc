@@ -404,6 +404,7 @@ void WsqServer::HandleRequestFrame(Connection& conn, Frame frame) {
   job.request = std::move(frame);
   job.codec = conn.negotiated;
   job.trace_negotiated = conn.trace_negotiated;
+  job.crc_negotiated = conn.crc_negotiated;
   job.alive = conn.alive;
   pool_->Submit([this, job = std::move(job)]() mutable {
     Completion done = RunExchange(job);
@@ -503,8 +504,12 @@ void WsqServer::DrainCompletions() {
     conn.dispatch_inflight = false;
     switch (completion.outcome) {
       case ExchangeOutcome::kContinue:
-        if (completion.has_response) {
-          SendFrame(conn, std::move(completion.response));
+        // The worker framed the response: hand its buffer over whole,
+        // or queue it behind bytes still unsent (a pong, say).
+        if (conn.write_buf.empty()) {
+          conn.write_buf.swap(completion.wire);
+        } else {
+          conn.write_buf.append(completion.wire);
         }
         break;
       case ExchangeOutcome::kClose:
@@ -778,9 +783,7 @@ WsqServer::Completion WsqServer::RunExchange(const DispatchJob& job) {
                             response.payload.size(), /*replayed=*/false,
                             /*fault=*/true,
                             static_cast<double>(t_fault - t0) / 1000.0);
-        done.has_response = true;
-        done.response = std::move(response);
-        done.outcome = ExchangeOutcome::kContinue;
+        FrameResponse(job, std::move(response), &done);
         return done;
       }
       // kUnavailability drops the connection quietly (FIN); the client
@@ -863,10 +866,16 @@ WsqServer::Completion WsqServer::RunExchange(const DispatchJob& job) {
                       response.payload.size(), result.replayed,
                       result.is_fault,
                       static_cast<double>(t_end - t0) / 1000.0);
-  done.has_response = true;
-  done.response = std::move(response);
-  done.outcome = ExchangeOutcome::kContinue;
+  FrameResponse(job, std::move(response), &done);
   return done;
+}
+
+void WsqServer::FrameResponse(const DispatchJob& job, Frame response,
+                              Completion* done) {
+  response.has_crc = job.crc_negotiated;
+  if (!AppendFrameBytes(response, &done->wire).ok()) {
+    done->outcome = ExchangeOutcome::kClose;
+  }
 }
 
 std::string WsqServer::StatsJson() {

@@ -272,14 +272,19 @@ class WsqServer {
     Frame request;
     std::shared_ptr<const codec::BlockCodec> codec;
     bool trace_negotiated = false;
+    /// The connection's "crc" flag: the worker stamps the response's
+    /// trailer itself. A re-Hello cannot flip it mid-exchange — frames
+    /// behind an in-flight dispatch wait in Connection::pending.
+    bool crc_negotiated = false;
     std::shared_ptr<std::atomic<bool>> alive;
   };
 
-  /// A finished exchange travelling worker → loop.
+  /// A finished exchange travelling worker → loop. The response is
+  /// already framed (and checksummed), so the loop only moves bytes;
+  /// empty when no response travels.
   struct Completion {
     int64_t conn_id = -1;
-    bool has_response = false;
-    Frame response;
+    std::string wire;
     ExchangeOutcome outcome = ExchangeOutcome::kContinue;
   };
 
@@ -316,10 +321,15 @@ class WsqServer {
   static void MarkDead(Connection& conn, bool hard);
 
   /// The worker-side body of one exchange: chaos injection, stalls,
-  /// container dispatch, simulated service sleep, tracing — everything
-  /// the old blocking handler did between reading the request and
-  /// writing the response.
+  /// container dispatch, simulated service sleep, tracing, and framing
+  /// the response — everything between reading the request and writing
+  /// the response bytes.
   Completion RunExchange(const DispatchJob& job);
+
+  /// Frames `response` into `done->wire` with the job's CRC setting; a
+  /// frame that cannot be encoded closes the connection instead.
+  static void FrameResponse(const DispatchJob& job, Frame response,
+                            Completion* done);
 
   std::shared_ptr<SessionFaultState> FaultStateForSession(int64_t session_id);
 

@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -60,7 +61,39 @@ int WaitReady(int fd, short events, double timeout_ms) {
   }
 }
 
+/// True when a read on `fd` would not block (data, EOF or an error).
+bool ReadableNow(int fd) {
+  struct pollfd pfd;
+  pfd.fd = fd;
+  pfd.events = POLLIN;
+  pfd.revents = 0;
+  return ::poll(&pfd, 1, 0) != 0;
+}
+
+thread_local ScopedIdleWork* t_idle_work = nullptr;
+
 }  // namespace
+
+ScopedIdleWork::ScopedIdleWork(std::function<bool()> slice)
+    : slice_(std::move(slice)), previous_(t_idle_work) {
+  t_idle_work = this;
+}
+
+ScopedIdleWork::~ScopedIdleWork() { t_idle_work = previous_; }
+
+double ScopedIdleWork::RunWhileIdle(int fd) {
+  ScopedIdleWork* work = t_idle_work;
+  if (work == nullptr || work->finished_) return 0.0;
+  const auto start = std::chrono::steady_clock::now();
+  t_idle_work = nullptr;  // slices never re-enter idle work
+  while (!work->finished_ && !ReadableNow(fd)) {
+    work->finished_ = !work->slice_();
+  }
+  t_idle_work = work;
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
 
 void SetNonBlocking(int fd, bool enable) {
   int flags = ::fcntl(fd, F_GETFL, 0);
@@ -136,7 +169,14 @@ bool Socket::PeerClosed() const {
 
 Result<size_t> Socket::ReadSome(void* buf, size_t len) {
   if (fd_ < 0) return Status::FailedPrecondition("read on a closed socket");
-  const int ready = WaitReady(fd_, POLLIN, io_timeout_ms_);
+  double timeout_ms = io_timeout_ms_;
+  const double idle_ms = ScopedIdleWork::RunWhileIdle(fd_);
+  if (idle_ms > 0.0 && timeout_ms > 0.0) {
+    // The slices spent part of the deadline. A spent deadline still
+    // gets one short poll (<= 1 ms): <= 0 would mean "block forever".
+    timeout_ms = std::max(timeout_ms - idle_ms, 1e-3);
+  }
+  const int ready = WaitReady(fd_, POLLIN, timeout_ms);
   if (ready < 0) return Status::Internal(Errno("poll"));
   if (ready == 0) return Status::Unavailable("read timed out");
   for (;;) {

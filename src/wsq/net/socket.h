@@ -1,6 +1,7 @@
 #ifndef WSQ_NET_SOCKET_H_
 #define WSQ_NET_SOCKET_H_
 
+#include <functional>
 #include <string>
 
 #include "wsq/common/status.h"
@@ -57,6 +58,37 @@ class Socket final : public ByteStream {
  private:
   int fd_ = -1;
   double io_timeout_ms_ = -1.0;
+};
+
+/// Work a thread runs in the gaps of its own blocking socket reads.
+/// While a scope is active, every Socket::ReadSome on the thread first
+/// polls its fd without blocking and, for as long as nothing is
+/// readable, runs one slice of the work; `slice` returns false once the
+/// work is finished. The read goes ahead the moment the socket is
+/// readable or the work is done, so it is delayed by at most one slice,
+/// and the read's own deadline is charged for the slices it ran.
+///
+/// Scopes nest: the innermost is active, and the previous one is
+/// restored when it exits. A slice runs with no scope active, so work
+/// that reads a socket itself never re-enters. The scope is per thread,
+/// not per socket, so it reaches the socket through any transport
+/// decorator wrapped around its owner.
+class ScopedIdleWork {
+ public:
+  explicit ScopedIdleWork(std::function<bool()> slice);
+  ~ScopedIdleWork();
+
+  ScopedIdleWork(const ScopedIdleWork&) = delete;
+  ScopedIdleWork& operator=(const ScopedIdleWork&) = delete;
+
+  /// Runs the active scope's slices while `fd` has nothing to read.
+  /// Returns the milliseconds they took (0 when none ran).
+  static double RunWhileIdle(int fd);
+
+ private:
+  std::function<bool()> slice_;
+  ScopedIdleWork* previous_;
+  bool finished_ = false;
 };
 
 /// Connects to host:port (numeric IPv4 or a resolvable name) within

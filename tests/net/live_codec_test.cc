@@ -15,6 +15,7 @@
 #include "wsq/fault/resilience_policy.h"
 #include "wsq/net/frame.h"
 #include "wsq/net/socket.h"
+#include "wsq/obs/metrics.h"
 
 namespace wsq {
 namespace {
@@ -207,6 +208,41 @@ TEST(LiveCodecTest, LegacyCloseDowngradesThenReprobesAfterBackoff) {
   ASSERT_TRUE(client.Connect().ok());
   EXPECT_EQ(client.wire_codec(), codec::CodecKind::kBinary);
   peer.join();
+}
+
+TEST(LiveCodecTest, AckTornAfterItsHeaderIsNotALegacySignal) {
+  // A HelloAck cut right after its 20-byte header is a torn message, not
+  // a peer that closed before answering: the connect fails retryably and
+  // the client does not downgrade to SOAP.
+  Result<net::Socket> listener = net::TcpListen(0);
+  ASSERT_TRUE(listener.ok());
+  Result<int> port = net::LocalPort(listener.value());
+  ASSERT_TRUE(port.ok());
+
+  std::thread peer([&] {
+    Result<net::Socket> c = net::Accept(listener.value(), 5000.0);
+    ASSERT_TRUE(c.ok());
+    EXPECT_TRUE(net::ReadFrame(c.value()).ok());
+    net::Frame ack;
+    ack.type = net::FrameType::kHelloAck;
+    ack.payload = "binary";
+    char header[net::kFrameHeaderBytes];
+    net::EncodeFrameHeader(ack, header);
+    EXPECT_TRUE(net::WriteAll(c.value(), header, sizeof(header)).ok());
+    c.value().Close();
+  });
+
+  Counter* downgrades =
+      MetricsRegistry::Global().GetCounter("wsq.net.codec_downgrades");
+  const int64_t downgrades_before = downgrades->value();
+  TcpWsClient client("127.0.0.1", port.value(), BinaryClientOptions(2000.0));
+  const Status status = client.Connect();
+  peer.join();
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(status.message(), "connection closed mid-message");
+  EXPECT_FALSE(net::IsCleanClose(status));
+  EXPECT_EQ(downgrades->value(), downgrades_before);
 }
 
 TEST(LiveCodecTest, BinaryRestartRetryDeliversEveryTupleExactlyOnce) {
